@@ -204,12 +204,18 @@ def _frames_trial(psi: PureState, spec: ExperimentSpec, seq) -> tuple:
     elif extra and config.n_slits != psi.dim + 1:
         raise ValueError("extra_slit mode needs a config with dim + 1 slits")
 
+    # Reconstruction reads only ROI pixels, so batch trials render the ROI band.
     if spec.reference_mode == "adaptive":
-        blocked = render_blocked_frame(psi, config, spec.noise, render_seed)
+        blocked = render_blocked_frame(psi, config, spec.noise, render_seed, roi_band=True)
         config = config.with_reference(choose_reference(roi_means(blocked)))
 
     frames = render_frames(
-        psi, config, spec.noise, render_seed, include_calibration=spec.calibration_frame
+        psi,
+        config,
+        spec.noise,
+        render_seed,
+        include_calibration=spec.calibration_frame,
+        roi_band=True,
     )
     calibration = frames[4] if spec.calibration_frame else None
     report = reconstruct_from_frames(frames[:4], calibration, tau=spec.tau_purity)

@@ -18,6 +18,8 @@ the reference and records the bare slit populations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,6 +261,8 @@ class Interferogram:
         arr = np.asarray(self.pixels, dtype=float)
         if arr.shape != tuple(self.config.image_dims):
             raise ValueError("pixel array does not match the configured image size")
+        if not np.isfinite(arr).all():
+            raise ValueError("pixel values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -284,30 +288,69 @@ def _object_amplitudes(psi: PureState, config: OpticalConfig) -> np.ndarray:
     )
 
 
-def _beam_images(amps, config, phase_field):
-    """Complex object image and real reference image, both (height, width)."""
-    height, width = config.image_dims
-    obj = np.zeros((height, width), dtype=np.complex128)
-    for k, (x, _, w, _) in enumerate(config.roi_layout):
-        obj[:, x : x + w] = amps[k]
-    if phase_field is not None:
-        obj = obj * np.exp(1j * phase_field)
+class _Geometry(NamedTuple):
+    """Arrays derived from one OpticalConfig, shared by renders and inversions.
 
-    centers = np.array([x + w / 2.0 for x, _, w, _ in config.roi_layout])
+    The ROI band packs the ROI columns of the reference-band row side by
+    side: band column j is image column ``cols[j]``, and slit k owns band
+    columns ``starts[k]`` to ``starts[k] + widths[k]``.
+    """
+
+    cols: np.ndarray
+    starts: np.ndarray
+    widths: np.ndarray
+    profile: np.ndarray  # reference amplitude at every image column
+    ref_power: float  # sum of ref**2 over the full image
+    band: OpticalConfig  # the packed ROI-band geometry
+
+
+@lru_cache(maxsize=64)
+def _geometry(config: OpticalConfig) -> _Geometry:
+    layout = config.roi_layout
+    widths = np.array([w for _, _, w, _ in layout])
+    starts = np.concatenate([[0], np.cumsum(widths)[:-1]])
+    cols = np.concatenate([np.arange(x, x + w) for x, _, w, _ in layout])
+
+    centers = np.array([x + w / 2.0 for x, _, w, _ in layout])
     env = np.asarray(config.ref_envelope, dtype=float)
-    profile = np.interp(np.arange(width, dtype=float), centers, env)
+    profile = np.interp(np.arange(config.image_dims[1], dtype=float), centers, env)
     # Inside each ROI the reference amplitude is exactly the per-slit value;
     # the interpolated profile between slits is cosmetic only.
-    for k, (x, _, w, _) in enumerate(config.roi_layout):
-        profile[x : x + w] = env[k]
-    ref = np.zeros((height, width), dtype=float)
-    x0, y0, w0, h0 = config.roi_layout[0]
-    ref[y0 : y0 + h0, :] = profile[None, :]
-    return obj, ref
+    profile[cols] = np.repeat(env, widths)
+    band_height = layout[0][3]
+    ref_power = band_height * float(np.sum(profile**2))
+
+    band = replace(
+        config,
+        image_dims=(band_height, int(widths.sum())),
+        roi_layout=tuple((int(s), 0, int(w), band_height) for s, w in zip(starts, widths)),
+        envelope_kind="custom",
+    )
+    for arr in (cols, starts, widths, profile):
+        arr.setflags(write=False)
+    return _Geometry(cols, starts, widths, profile, ref_power, band)
 
 
-def _render(psi, config, noise, seed, steps, include_calibration):
+def _dc_total(amps: np.ndarray, config: OpticalConfig) -> float:
+    """Sum of |obj|^2 + ref^2 over the full image, in closed form.
+
+    The object band of slit k fills w_k columns over the full height, and the
+    reference fills the band rows over the full width; the phase field leaves
+    |obj| unchanged.
+    """
+    geo = _geometry(config)
+    height = config.image_dims[0]
+    return height * float(np.dot(geo.widths, np.abs(amps) ** 2)) + geo.ref_power
+
+
+def _render(psi, config, noise, seed, steps, include_calibration, roi_band):
+    """Render the wanted frames over the full image or over the ROI band only.
+
+    Both pixel sets share the photon scale, which is fixed by the full image,
+    so a band pixel has the same expected count as the image pixel it packs.
+    """
     amps = _object_amplitudes(psi, config)
+    geo = _geometry(config)
     if isinstance(seed, np.random.SeedSequence):
         # Re-root so repeated renders with the same sequence draw the same
         # children (spawn() would otherwise advance the parent's state).
@@ -316,20 +359,35 @@ def _render(psi, config, noise, seed, steps, include_calibration):
         seed = np.random.SeedSequence(seed)
     field_seq, jitter_seq, shot_seq = seed.spawn(3)
 
+    # One row of each beam; the object fills every row, the reference only
+    # the rows of its band.
+    band_obj = np.repeat(amps, geo.widths)
+    if roi_band:
+        out_config = geo.band
+        obj_row, ref_row, ref_rows = band_obj, geo.profile[geo.cols], slice(None)
+    else:
+        out_config = config
+        obj_row = np.zeros(config.image_dims[1], dtype=np.complex128)
+        obj_row[geo.cols] = band_obj
+        _, y0, _, h0 = config.roi_layout[0]
+        ref_row, ref_rows = geo.profile, slice(y0, y0 + h0)
+    shape = out_config.image_dims
+
+    obj = np.broadcast_to(obj_row, shape)
     sd = float(noise.phase_inhomogeneity_sd)
-    phase_field = None
     if sd > 0.0:
-        phase_field = np.random.default_rng(field_seq).normal(0.0, sd, config.image_dims)
+        phase_field = np.random.default_rng(field_seq).normal(0.0, sd, shape)
+        obj = obj * np.exp(1j * phase_field)
+    ref = np.zeros(shape)
+    ref[ref_rows] = ref_row
 
     # The piezo moves once per frame, so each step gets a single phase error.
     jitter = np.random.default_rng(jitter_seq).standard_normal(3) * float(
         noise.phase_step_jitter_sd
     )
 
-    obj, ref = _beam_images(amps, config, phase_field)
-    dc_total = float(np.sum(np.abs(obj) ** 2) + np.sum(ref**2))
     photons = float(noise.photons_per_frame)
-    scale = photons / dc_total if photons > 0.0 else 1.0
+    scale = photons / _dc_total(amps, config) if photons > 0.0 else 1.0
     shot_rng = np.random.default_rng(shot_seq) if photons > 0.0 else None
 
     wanted = list(steps) + ([CALIBRATION_STEP] if include_calibration else [])
@@ -352,7 +410,7 @@ def _render(psi, config, noise, seed, steps, include_calibration):
             pixels = shot_rng.poisson(scale * intensity + noise.dark_rate).astype(float)
         else:
             pixels = intensity
-        frames.append(Interferogram(step, pixels, config))
+        frames.append(Interferogram(step, pixels, out_config))
     return frames
 
 
@@ -362,15 +420,24 @@ def render_frames(
     noise: NoiseModel = NoiseModel(),
     seed=0,
     include_calibration: bool = False,
+    *,
+    roi_band: bool = False,
 ) -> list[Interferogram]:
     """Render the four acquisition frames (plus an optional calibration frame).
 
     Frame 0 blocks the reference arm, frames 1..3 step its phase, and the
     calibration frame (step index 4) blocks the object arm instead.  All
-    frames share one photon scale fixed by the unblocked mean intensity, and
-    the same static phase field; rendering is reproducible per (config, seed).
+    frames share one photon scale fixed by the unblocked intensity of the
+    full image, and the same static phase field; rendering is reproducible
+    per (config, seed).
+
+    With ``roi_band`` only the ROI pixels are rendered, packed side by side
+    into an (ROI height, total ROI width) image whose config places ROI k at
+    its packed column offset.  Noiseless band pixels equal the ROI pixels of
+    the full render; noisy ones draw the phase field and shot noise over the
+    band alone, so they differ from the full render's ROI pixels.
     """
-    return _render(psi, config, noise, seed, (0, 1, 2, 3), include_calibration)
+    return _render(psi, config, noise, seed, (0, 1, 2, 3), include_calibration, roi_band)
 
 
 def render_blocked_frame(
@@ -378,13 +445,15 @@ def render_blocked_frame(
     config: OpticalConfig,
     noise: NoiseModel = NoiseModel(),
     seed=0,
+    *,
+    roi_band: bool = False,
 ) -> Interferogram:
     """Only frame 0, bit-identical to the one render_frames would produce.
 
     Lets an adaptive run look at the populations before committing to a
     reference slit, without paying for the interference frames.
     """
-    return _render(psi, config, noise, seed, (0,), False)[0]
+    return _render(psi, config, noise, seed, (0,), False, roi_band)[0]
 
 
 def annotate_rois(frame: Interferogram) -> np.ndarray:

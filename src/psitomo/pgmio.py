@@ -18,7 +18,10 @@ from .imaging import Interferogram, OpticalConfig
 
 PGM_MAXVAL = 65535
 
-_HEADER_RE = re.compile(rb"^P5\s+(\d+)\s+(\d+)\s+(\d+)\s", re.MULTILINE)
+# Magic number, then width, height and maxval, each after whitespace that may
+# hold "#" comments running to the end of their line; one whitespace byte
+# ends the header.
+_HEADER_RE = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
@@ -41,6 +44,8 @@ def read_pgm(path) -> np.ndarray:
     if match is None:
         raise ValueError(f"{path} is not a binary (P5) PGM file")
     width, height, maxval = (int(g) for g in match.groups())
+    if not 1 <= maxval <= PGM_MAXVAL:
+        raise ValueError(f"{path} declares maxval {maxval}, outside 1..{PGM_MAXVAL}")
     dtype = ">u2" if maxval > 255 else "u1"
     data = np.frombuffer(blob[match.end() :], dtype=dtype, count=width * height)
     if data.size != width * height:

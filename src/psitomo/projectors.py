@@ -89,7 +89,9 @@ class ProjectorOutcomes:
             raise ValueError("populations must have shape (dim,)")
         if self.interference.shape != (self.dim - 1, 3):
             raise ValueError("interference must have shape (dim - 1, 3)")
-        if np.min(self.populations) < 0 or np.min(self.interference) < 0:
+        if not (np.isfinite(self.populations).all() and np.isfinite(self.interference).all()):
+            raise ValueError("outcome values must be finite")
+        if self.populations.min() < 0 or self.interference.min() < 0:
             raise ValueError("outcome values cannot be negative")
         if self.kind == "probability":
             total = float(self.populations.sum())

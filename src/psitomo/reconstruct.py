@@ -32,7 +32,7 @@ from .errors import (
     WeakReference,
     ZeroResultant,
 )
-from .imaging import CALIBRATION_STEP, Interferogram, roi_means
+from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, ProjectorSpec
 from .states import PureState, normalize
 
@@ -336,6 +336,10 @@ def reconstruct_from_frames(
     plus the calibration frame when one is supplied.  A slit whose fringe is
     entirely degenerate keeps phase zero; a degenerate reference ROI aborts
     the reconstruction.
+
+    All ROIs are read in one pass: the ROI columns of the shared band row are
+    gathered side by side, and per-slit sums and maxima reduce over each
+    slit's column segment, whatever the ROI widths.
     """
     by_step = _frames_by_step(frames)
     cfg = by_step[0].config
@@ -347,64 +351,59 @@ def reconstruct_from_frames(
             raise ValueError("calibration frame disagrees on the configuration")
 
     n = cfg.n_slits
-    pops = roi_means(by_step[0])
-    phases = np.zeros(n)
-    gamma = np.zeros(n)
-    ref_level = np.zeros(n)
+    geo = _geometry(cfg)
+    _, y, _, h = cfg.roi_layout[0]
 
-    for k in range(n):
-        roi0 = by_step[0].roi(k)
-        roi1 = by_step[1].roi(k)
-        roi2 = by_step[2].roi(k)
-        roi3 = by_step[3].roi(k)
-        d1 = roi1 - roi2
-        d3 = roi3 - roi2
-        modulation = np.hypot(d1, d3)
-        eps = DEGENERATE_FRACTION * float(max(roi1.max(), roi2.max(), roi3.max()))
-        usable = modulation > eps
+    def band(frame):
+        return frame.pixels[y : y + h, geo.cols]
 
-        if calibration is not None:
-            level = roi0 + calibration.roi(k)
-        else:
-            level = 0.5 * (roi1 + roi3)
-        lit = level > 0.0
-        if lit.any():
-            gamma[k] = float(
-                np.mean(modulation[lit] / (math.sqrt(2.0) * level[lit]))
-            )
-        if calibration is not None:
-            ref_level[k] = float(calibration.roi(k).mean())
-        else:
-            ref_level[k] = max(float(level.mean()) - pops[k], 0.0)
+    def per_slit(values, op=np.add):
+        return op.reduceat(op.reduce(values, axis=0), geo.starts)
 
-        if not usable.any():
-            if k == r:
-                raise DegenerateFringe(
-                    f"reference ROI {r} shows no usable fringe modulation"
-                )
-            # No recoverable phase; the modulus (typically ~0) still counts.
-            phases[k] = 0.0
-            continue
-        try:
-            phases[k] = circular_mean(
-                np.arctan2(d3, d1)[usable], weights=modulation[usable]
-            )
-        except ZeroResultant as exc:
-            if k == r:
-                raise DegenerateFringe(
-                    f"reference ROI {r} phase is undefined"
-                ) from exc
-            phases[k] = 0.0
+    roi0, roi1, roi2, roi3 = (band(by_step[s]) for s in range(4))
+    area = geo.widths * h
+    pops = per_slit(roi0) / area
+    d1 = roi1 - roi2
+    d3 = roi3 - roi2
+    modulation = np.hypot(d1, d3)
+    peak = per_slit(np.maximum(np.maximum(roi1, roi2), roi3), np.maximum)
+    usable = modulation > np.repeat(DEGENERATE_FRACTION * peak, geo.widths)
+
+    if calibration is not None:
+        cal = band(calibration)
+        level = roi0 + cal
+        ref_level = per_slit(cal) / area
+    else:
+        level = 0.5 * (roi1 + roi3)
+        ref_level = np.maximum(per_slit(level) / area - pops, 0.0)
+    lit = level > 0.0
+    ratio = np.divide(
+        modulation, math.sqrt(2.0) * level, out=np.zeros_like(level), where=lit
+    )
+    n_lit = per_slit(lit)
+    gamma = np.divide(per_slit(ratio), n_lit, out=np.zeros(n), where=n_lit > 0)
+
+    # sum w e^{i phi} with w = hypot(d1, d3) is sum (d1 + i d3).
+    weight = per_slit(np.where(usable, modulation, 0.0))
+    re = per_slit(np.where(usable, d1, 0.0))
+    im = per_slit(np.where(usable, d3, 0.0))
+    if not weight[r] > 0.0:
+        raise DegenerateFringe(f"reference ROI {r} shows no usable fringe modulation")
+    resultant = np.divide(np.hypot(re, im), weight, out=np.zeros_like(weight), where=weight > 0)
+    defined = resultant >= _RESULTANT_TOL
+    if not defined[r]:
+        raise DegenerateFringe(f"reference ROI {r} phase is undefined")
+    # No recoverable phase keeps phase 0; the modulus (typically ~0) still counts.
+    phases = np.where(defined, np.arctan2(im, re), 0.0)
+    phases[phases == -math.pi] = math.pi
 
     amps = np.sqrt(np.clip(pops, 0.0, None)) * np.exp(1j * (phases - phases[r]))
     state = normalize(amps).canonical()
 
     gamma_pure = np.zeros(n)
-    for k in range(n):
-        if pops[k] > 0.0 and ref_level[k] > 0.0:
-            gamma_pure[k] = (
-                2.0 * math.sqrt(pops[k] * ref_level[k]) / (pops[k] + ref_level[k])
-            )
+    both = (pops > 0.0) & (ref_level > 0.0)
+    p, q = pops[both], ref_level[both]
+    gamma_pure[both] = 2.0 * np.sqrt(p * q) / (p + q)
     verdict = certify_purity(pops, gamma, ref_level, ref_index=r, tau=tau)
 
     gamma.setflags(write=False)

@@ -35,7 +35,8 @@ class PureState:
         if arr.size < 2:
             raise ValueError("qudit dimension must be at least 2")
         norm_sq = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        # Written so that a NaN norm fails the test too.
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(
                 f"amplitudes are not unit-norm: sum |c_k|^2 = {norm_sq:.17g}"
             )

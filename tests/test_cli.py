@@ -105,6 +105,22 @@ def test_reconstruct_from_outcomes_file(tmp_path):
     assert fidelity(psi, recon) >= 1.0 - 1e-10
 
 
+def test_reconstruct_rejects_nan_outcomes(tmp_path):
+    payload = exact_outcomes(haar_random(3, seed=13)).to_dict()
+    payload["populations"][1] = float("nan")
+    out_path = tmp_path / "outcomes.json"
+    out_path.write_text(json.dumps(payload))
+    assert "NaN" in out_path.read_text()
+    code = main(
+        [
+            "reconstruct", "--outcomes", str(out_path), "--report", "rep.json",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_reconstruct_needs_exactly_one_input(tmp_path):
     assert main(["reconstruct", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert (

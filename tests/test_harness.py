@@ -143,8 +143,11 @@ def test_trial_is_deterministic_under_noise():
 # ------------------------------------------------------------ batches
 
 
-def test_batch_is_reproducible_and_worker_independent():
-    spec = spec_of(n=12, noise=NoiseModel(photons_per_frame=1e4))
+@pytest.mark.parametrize("pipeline", ["outcomes", "frames"])
+def test_batch_is_reproducible_and_worker_independent(pipeline):
+    spec = spec_of(
+        n=12, pipeline=pipeline, noise=NoiseModel.bench_defaults(photons_per_frame=1e4)
+    )
     one = run_batch(spec)
     again = run_batch(spec)
     threaded = run_batch(spec, workers=4)

@@ -25,6 +25,7 @@ from psitomo.errors import ConfigMismatch
 from psitomo.imaging import (
     CALIBRATION_STEP,
     DISPLAY_PHASE_SD,
+    _dc_total,
     annotate_rois,
 )
 
@@ -93,6 +94,15 @@ def test_sinc_envelope_peaks_at_reference_and_decays():
     assert env[0] == pytest.approx(1.0)
     assert np.all(np.diff(env) < 0)
     assert np.all(env > 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_interferogram_rejects_non_finite_pixels(bad):
+    cfg = flat_config(2)
+    pixels = np.zeros(cfg.image_dims)
+    pixels[0, 0] = bad
+    with pytest.raises(ValueError):
+        Interferogram(1, pixels, cfg)
 
 
 def test_interferogram_validates_shape_and_freezes_pixels():
@@ -208,6 +218,72 @@ def test_annotate_rois_burns_outline():
     assert marked[y + h - 1, x + w - 1] == peak
 
 
+# ---------------------------------------------------------------- ROI band
+
+
+def band_pixels(frame):
+    """ROI columns of the reference-band row of a full frame, packed side by side."""
+    return np.hstack([frame.roi(k) for k in range(frame.config.n_slits)])
+
+
+@pytest.mark.parametrize("calibration", [False, True])
+@pytest.mark.parametrize("envelope", ["sinc", "flat"])
+@pytest.mark.parametrize(
+    "dim, extra", [(2, False), (5, False), (14, False), (4, True)]
+)
+def test_noiseless_band_frames_equal_full_frame_rois(dim, extra, envelope, calibration):
+    psi = haar_random(dim, seed=70 + dim)
+    cfg = OpticalConfig.for_dim(dim, extra_reference=extra, envelope=envelope)
+    full = render_frames(psi, cfg, include_calibration=calibration)
+    band = render_frames(psi, cfg, include_calibration=calibration, roi_band=True)
+    assert [f.step_index for f in band] == [f.step_index for f in full]
+    for f, b in zip(full, band):
+        assert np.array_equal(band_pixels(f), b.pixels)
+        for k in range(cfg.n_slits):
+            assert np.array_equal(f.roi(k), b.roi(k))
+    blocked = render_blocked_frame(psi, cfg, roi_band=True)
+    assert np.array_equal(blocked.pixels, band[0].pixels)
+
+
+def test_band_config_is_the_packed_geometry():
+    cfg = OpticalConfig.for_dim(5, extra_reference=True).with_reference(2)
+    band = render_frames(haar_random(5, seed=4), cfg, roi_band=True)[0].config
+    _, _, w, h = cfg.roi_layout[0]
+    assert band.image_dims == (h, 6 * w)
+    assert band.roi_layout == tuple((k * w, 0, w, h) for k in range(6))
+    assert band.ref_index == cfg.ref_index == 2
+    assert band.ref_envelope == cfg.ref_envelope
+    assert band.envelope_kind == "custom"
+
+
+def test_band_render_is_seed_deterministic_and_shares_photon_scale():
+    psi = haar_random(6, seed=9)
+    cfg = OpticalConfig.for_dim(6)
+    noise = NoiseModel.bench_defaults(photons_per_frame=1e5)
+    a = render_frames(psi, cfg, noise, seed=3, roi_band=True)
+    b = render_frames(psi, cfg, noise, seed=3, roi_band=True)
+    for fa, fb in zip(a, b):
+        assert np.array_equal(fa.pixels, fb.pixels)
+    blocked = render_blocked_frame(psi, cfg, noise, seed=3, roi_band=True)
+    assert np.array_equal(blocked.pixels, a[0].pixels)
+    # Expected counts per pixel follow the full image's photon scale.
+    scale = 1e5 / _dc_total(psi.amps, cfg)
+    clean = render_frames(psi, cfg, roi_band=True)[0].pixels
+    assert a[0].pixels.sum() == pytest.approx(scale * clean.sum(), rel=0.05)
+
+
+@pytest.mark.parametrize("extra", [False, True])
+@pytest.mark.parametrize("envelope", ["sinc", "flat"])
+@pytest.mark.parametrize("dim", [2, 5, 14])
+def test_closed_form_dc_total_matches_full_image_sum(dim, envelope, extra):
+    psi = haar_random(dim, seed=dim)
+    cfg = OpticalConfig.for_dim(dim, extra_reference=extra, envelope=envelope)
+    f0, _, _, _, cal = render_frames(psi, cfg, include_calibration=True)
+    explicit = float(np.sum(f0.pixels) + np.sum(cal.pixels))
+    amps = np.append(psi.amps, 1.0) if extra else psi.amps
+    assert _dc_total(amps, cfg) == pytest.approx(explicit, rel=1e-12)
+
+
 # ---------------------------------------------------------------- file io
 
 
@@ -217,6 +293,22 @@ def test_pgm_round_trip(tmp_path):
     write_pgm(path, pixels)
     again = read_pgm(path)
     assert np.array_equal(again, pixels)
+
+
+def test_pgm_header_may_carry_comments(tmp_path):
+    pixels = np.array([[0, 1, 2], [300, 400, 500]], dtype=">u2")
+    path = tmp_path / "c.pgm"
+    header = b"P5\n# written by hand\n3 # width\n2\n# maxval next\n65535\n"
+    path.write_bytes(header + pixels.tobytes())
+    assert np.array_equal(read_pgm(path), pixels.astype(float))
+
+
+@pytest.mark.parametrize("maxval", [0, 65536])
+def test_pgm_rejects_maxval_outside_range(tmp_path, maxval):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(f"P5\n2 1\n{maxval}\n".encode() + bytes(4))
+    with pytest.raises(ValueError, match="maxval"):
+        read_pgm(path)
 
 
 def test_pgm_rejects_out_of_range(tmp_path):

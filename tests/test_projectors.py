@@ -140,6 +140,17 @@ def test_outcomes_validation():
         ProjectorOutcomes(3, 0, -pops, good, kind="count")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_outcomes_reject_non_finite_values(bad):
+    pops = np.array([0.5, 0.5])
+    table = np.full((1, 3), 0.25)
+    with pytest.raises(ValueError):
+        ProjectorOutcomes(2, 0, np.array([bad, 0.5]), table, kind="count")
+    table[0, 1] = bad
+    with pytest.raises(ValueError):
+        ProjectorOutcomes(2, 0, pops, table, kind="count")
+
+
 def test_outcomes_normalized_rejects_all_zero():
     z = ProjectorOutcomes(2, 0, np.zeros(2), np.zeros((1, 3)), kind="count")
     with pytest.raises(AllZero):

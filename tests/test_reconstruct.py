@@ -267,6 +267,16 @@ def test_degenerate_reference_roi_aborts():
         reconstruct_from_frames(render_frames(psi, cfg))
 
 
+@pytest.mark.parametrize("roi_band", [False, True])
+def test_empty_non_reference_slit_keeps_phase_zero(roi_band):
+    # slit 1 is dark, so its ROI shows the bare reference with no fringe
+    psi = normalize(np.array([1.0, 0.0, 1.0j]))
+    frames = render_frames(psi, OpticalConfig.for_dim(3), roi_band=roi_band)
+    report = reconstruct_from_frames(frames)
+    assert report.state.amps[1] == 0.0
+    assert fidelity(psi, report.state) >= 1.0 - 1e-12
+
+
 def test_extra_reference_layout_round_trip():
     # state occupies slits 0..2, appended slit 3 is the phase anchor
     psi = haar_random(3, seed=53)
@@ -276,6 +286,81 @@ def test_extra_reference_layout_round_trip():
     recovered = normalize(embedded[:3])
     assert fidelity(psi, recovered) >= 1.0 - 1e-12
     assert report.reference_used == 3
+
+
+@pytest.mark.parametrize("roi_band", [False, True])
+@pytest.mark.parametrize("calibration", [False, True])
+def test_frame_round_trip_with_unequal_roi_widths(roi_band, calibration):
+    # ROIs 4, 11, 7 and 2 pixels wide on one band row, so the per-slit
+    # reductions run over column segments of different lengths.
+    rois = ((5, 20, 4, 9), (15, 20, 11, 9), (40, 20, 7, 9), (60, 20, 2, 9))
+    cfg = OpticalConfig(
+        n_slits=4,
+        image_dims=(48, 70),
+        roi_layout=rois,
+        ref_envelope=(1.0, 0.9, 0.7, 0.5),
+        envelope_kind="custom",
+    )
+    psi = haar_random(4, seed=56)
+    frames = render_frames(psi, cfg, include_calibration=calibration, roi_band=roi_band)
+    report = reconstruct_from_frames(frames[:4], frames[4] if calibration else None)
+    assert fidelity(psi, report.state) >= 1.0 - 1e-12
+    assert report.purity_verdict.pure
+    assert report.per_slit_visibility[1:] == pytest.approx(
+        report.expected_visibility[1:], abs=1e-12
+    )
+
+
+def loop_reference(frames, calibration):
+    """Per-ROI loop inversion: phases, visibilities and reference levels."""
+    by_step = {f.step_index: f for f in frames}
+    n = by_step[0].config.n_slits
+    phases, gamma, ref_level = np.zeros(n), np.zeros(n), np.zeros(n)
+    for k in range(n):
+        roi0, roi1, roi2, roi3 = (by_step[s].roi(k) for s in range(4))
+        d1, d3 = roi1 - roi2, roi3 - roi2
+        modulation = np.hypot(d1, d3)
+        usable = modulation > 1e-6 * max(roi1.max(), roi2.max(), roi3.max())
+        if calibration is not None:
+            level = roi0 + calibration.roi(k)
+            ref_level[k] = calibration.roi(k).mean()
+        else:
+            level = 0.5 * (roi1 + roi3)
+            ref_level[k] = max(level.mean() - roi0.mean(), 0.0)
+        lit = level > 0.0
+        gamma[k] = np.mean(modulation[lit] / (math.sqrt(2.0) * level[lit]))
+        phases[k] = circular_mean(np.arctan2(d3, d1)[usable], modulation[usable])
+    return phases, gamma, ref_level
+
+
+@pytest.mark.parametrize("calibration", [False, True])
+@pytest.mark.parametrize("roi_band", [False, True])
+def test_vectorised_inversion_matches_loop_reference(roi_band, calibration):
+    psi = haar_random(7, seed=58)
+    cfg = OpticalConfig.for_dim(7).with_reference(3)
+    noise = NoiseModel.bench_defaults(photons_per_frame=1e5)
+    frames = render_frames(
+        psi, cfg, noise, seed=12, include_calibration=calibration, roi_band=roi_band
+    )
+    cal = frames[4] if calibration else None
+    report = reconstruct_from_frames(frames[:4], cal)
+    phases, gamma, ref_level = loop_reference(frames[:4], cal)
+    pops = np.array([frames[0].roi(k).mean() for k in range(7)])
+    amps = np.sqrt(pops) * np.exp(1j * (phases - phases[3]))
+    expected = normalize(amps).canonical()
+    assert np.allclose(report.state.amps, expected.amps, rtol=0, atol=1e-12)
+    assert np.allclose(report.per_slit_visibility, gamma, rtol=1e-12, atol=0)
+    bound = 2.0 * np.sqrt(pops * ref_level) / (pops + ref_level)
+    assert np.allclose(report.expected_visibility, bound, rtol=1e-12, atol=0)
+
+
+def test_noisy_band_and_full_reconstructions_agree():
+    psi = haar_random(6, seed=57)
+    cfg = OpticalConfig.for_dim(6)
+    noise = NoiseModel.bench_defaults(photons_per_frame=1e7)
+    for roi_band in (False, True):
+        frames = render_frames(psi, cfg, noise, seed=8, roi_band=roi_band)
+        assert fidelity(psi, reconstruct_from_frames(frames).state) > 0.99
 
 
 def test_extract_roi_measurements_summaries():

@@ -27,6 +27,12 @@ def test_pure_state_requires_unit_norm():
         PureState(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError):
+        PureState(np.array([bad, bad]))
+
+
 def test_pure_state_amplitudes_are_read_only():
     psi = PureState(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
