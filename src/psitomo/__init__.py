@@ -47,11 +47,9 @@ from .projectors import (
 from .reconstruct import (
     PurityCheck,
     ReconstructionReport,
-    RoiMeasurement,
     certify_purity,
     choose_reference,
     circular_mean,
-    extract_roi_measurements,
     psi_phase,
     psi_visibility,
     reconstruct_from_frames,

@@ -16,12 +16,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import TomographyError, Unattainable
-from .imaging import NoiseModel, OpticalConfig, render_blocked_frame, render_frames, roi_means
-from .projectors import (
-    STEP_PHASES,
-    ProjectorOutcomes,
-    interference_probs,
+from .imaging import (
+    NoiseModel,
+    OpticalConfig,
+    _object_amplitudes,
+    render_blocked_frame,
+    render_frames,
+    roi_means,
 )
+from .projectors import STEP_PHASES, ProjectorOutcomes, _two_beam_table
 from .reconstruct import (
     TAU_PURITY,
     choose_reference,
@@ -152,50 +155,35 @@ def generate_states(spec: ExperimentSpec) -> list[PureState]:
     return [haar_random(spec.dim, s) for s in seeds]
 
 
-def _embed_with_reference(psi: PureState) -> PureState:
-    """Append a max-transmission slit: (c_0 .. c_{d-1}, 1) / sqrt(2)."""
-    amps = np.concatenate([psi.amps, [1.0 + 0.0j]]) / math.sqrt(2.0)
-    return PureState(amps)
-
-
-def _project_out_reference(state: PureState, dim: int) -> PureState:
-    return normalize(state.amps[:dim])
-
-
-def _outcomes_trial(psi: PureState, spec: ExperimentSpec, seq) -> tuple:
-    pop_seq, jitter_seq, intf_seq = seq.spawn(3)
+def _outcomes_trial(psi: PureState, spec: ExperimentSpec, rng: np.random.Generator):
+    """One outcome acquisition; draws populations, then jitter, then interference."""
     noise = spec.noise
     photons = float(noise.photons_per_frame)
 
+    amps, ref = psi.amps, 0
     if spec.reference_mode == "extra_slit":
-        work = _embed_with_reference(psi)
+        amps = _object_amplitudes(psi, psi.dim + 1) / math.sqrt(2.0)
         ref = psi.dim
-    else:
-        work = psi
-        ref = 0
 
-    pops = np.abs(work.amps) ** 2
-    if photons > 0.0:
-        pops = np.random.default_rng(pop_seq).poisson(pops * photons).astype(float)
+    pops = np.abs(amps) ** 2
+    measured = rng.poisson(pops * photons).astype(float) if photons > 0.0 else pops
     if spec.reference_mode == "adaptive":
-        ref = choose_reference(pops)
+        ref = choose_reference(measured)
 
     # One phase error per step: the stepping element moves once per setting
     # and every slit pairing inherits that same error.
-    jitter = np.random.default_rng(jitter_seq).standard_normal(3) * float(
-        noise.phase_step_jitter_sd
-    )
-    table = interference_probs(work, ref, np.asarray(STEP_PHASES) + jitter)
+    jitter = rng.standard_normal(3) * float(noise.phase_step_jitter_sd)
+    phases = np.asarray(STEP_PHASES) + jitter
+    table = _two_beam_table(pops, amps[ref] * np.conj(amps), ref, phases)
     if photons > 0.0:
-        table = np.random.default_rng(intf_seq).poisson(table * photons).astype(float)
+        table = rng.poisson(table * photons).astype(float)
 
     kind = "count" if photons > 0.0 else "probability"
-    outcomes = ProjectorOutcomes(work.dim, ref, pops, table, kind=kind)
-    report = reconstruct_from_outcomes(outcomes, tau=spec.tau_purity)
-    return report, work.dim
+    outcomes = ProjectorOutcomes(amps.size, ref, measured, table, kind=kind)
+    return reconstruct_from_outcomes(outcomes, tau=spec.tau_purity)
 
 
-def _frames_trial(psi: PureState, spec: ExperimentSpec, seq) -> tuple:
+def _frames_trial(psi: PureState, spec: ExperimentSpec, seq):
     render_seed = seq.spawn(1)[0]
     extra = spec.reference_mode == "extra_slit"
     config = spec.optical
@@ -218,8 +206,7 @@ def _frames_trial(psi: PureState, spec: ExperimentSpec, seq) -> tuple:
         roi_band=True,
     )
     calibration = frames[4] if spec.calibration_frame else None
-    report = reconstruct_from_frames(frames[:4], calibration, tau=spec.tau_purity)
-    return report, config.n_slits
+    return reconstruct_from_frames(frames[:4], calibration, tau=spec.tau_purity)
 
 
 def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -> TrialResult:
@@ -233,13 +220,13 @@ def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -
         raise ValueError("state dimension differs from spec.dim")
     seq = np.random.SeedSequence(int(seed))
     if spec.pipeline == "outcomes":
-        report, _ = _outcomes_trial(psi, spec, seq)
+        report = _outcomes_trial(psi, spec, np.random.default_rng(seq))
     else:
-        report, _ = _frames_trial(psi, spec, seq)
+        report = _frames_trial(psi, spec, seq)
 
     recon = report.state
     if spec.reference_mode == "extra_slit":
-        recon = _project_out_reference(recon, psi.dim)
+        recon = normalize(recon.amps[: psi.dim])
     return TrialResult(
         index=index,
         dim=spec.dim,
@@ -390,43 +377,28 @@ def calibrate_noise(
         root_seed=probe_root,
         optical=None,
     )
-    evals = 0
-
-    def mean_fid(photons: float) -> float:
-        nonlocal evals
-        evals += 1
-        probe = replace(base, noise=template.noise.with_photons(photons))
-        return run_batch(probe).mean_fidelity
-
-    f_lo = mean_fid(lo)
-    if abs(f_lo - target_mean_fidelity) <= tol:
-        return CalibrationResult(
-            template.noise.with_photons(lo), lo, f_lo, evals
-        )
-    f_hi = mean_fid(hi)
-    if abs(f_hi - target_mean_fidelity) <= tol:
-        return CalibrationResult(
-            template.noise.with_photons(hi), hi, f_hi, evals
-        )
-    if f_lo > target_mean_fidelity or f_hi < target_mean_fidelity:
-        raise Unattainable(
-            f"target {target_mean_fidelity} outside achievable range "
-            f"[{f_lo:.6f}, {f_hi:.6f}] for photons in [{lo:g}, {hi:g}]"
-        )
-
+    target = target_mean_fidelity
     log_lo, log_hi = math.log10(lo), math.log10(hi)
-    for _ in range(max_iter):
-        mid = 10.0 ** (0.5 * (log_lo + log_hi))
-        f_mid = mean_fid(mid)
-        if abs(f_mid - target_mean_fidelity) <= tol:
-            return CalibrationResult(
-                template.noise.with_photons(mid), mid, f_mid, evals
-            )
-        if f_mid < target_mean_fidelity:
-            log_lo = math.log10(mid)
+    f_lo = math.nan
+    # Probe both ends of the bracket first, then bisect in log10(photons).
+    for evals in range(1, max_iter + 3):
+        photons = (lo, hi)[evals - 1] if evals <= 2 else 10.0 ** (0.5 * (log_lo + log_hi))
+        noise = template.noise.with_photons(photons)
+        fid = run_batch(replace(base, noise=noise)).mean_fidelity
+        if abs(fid - target) <= tol:
+            return CalibrationResult(noise, photons, fid, evals)
+        if evals == 1:
+            f_lo = fid
+        elif evals == 2:
+            if f_lo > target or fid < target:
+                raise Unattainable(
+                    f"target {target} outside achievable range "
+                    f"[{f_lo:.6f}, {fid:.6f}] for photons in [{lo:g}, {hi:g}]"
+                )
+        elif fid < target:
+            log_lo = math.log10(photons)
         else:
-            log_hi = math.log10(mid)
+            log_hi = math.log10(photons)
     raise Unattainable(
-        f"bisection did not reach {target_mean_fidelity} +/- {tol} "
-        f"within {max_iter} probes"
+        f"bisection did not reach {target} +/- {tol} within {max_iter} probes"
     )

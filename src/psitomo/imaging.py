@@ -28,7 +28,6 @@ from .states import PureState
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
 DISPLAY_SLIT_PITCH = 30
-DISPLAY_PIXEL_UM = 8.0
 DEFAULT_IMAGE_HEIGHT = 128
 DEFAULT_BAND_HEIGHT = 16
 
@@ -63,8 +62,9 @@ class NoiseModel:
             "phase_inhomogeneity_sd",
             "dark_rate",
         ):
-            if float(getattr(self, name)) < 0.0:
-                raise ValueError(f"{name} cannot be negative")
+            # Written so that NaN fails the test too.
+            if not 0.0 <= float(getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
     def with_photons(self, photons_per_frame: float) -> "NoiseModel":
         return replace(self, photons_per_frame=photons_per_frame)
@@ -98,7 +98,6 @@ class OpticalConfig:
     ref_index: int = 0
     slit_width_px: int = DISPLAY_SLIT_WIDTH
     slit_pitch_px: int = DISPLAY_SLIT_PITCH
-    pixel_size_um: float = DISPLAY_PIXEL_UM
     image_dims: tuple[int, int] = (0, 0)  # (height, width); filled by for_dim
     roi_layout: tuple[tuple[int, int, int, int], ...] = ()
     ref_envelope: tuple[float, ...] = ()
@@ -208,7 +207,6 @@ class OpticalConfig:
             "ref_index": self.ref_index,
             "slit_width_px": self.slit_width_px,
             "slit_pitch_px": self.slit_pitch_px,
-            "pixel_size_um": self.pixel_size_um,
             "image_dims": list(self.image_dims),
             "roi_layout": [list(r) for r in self.roi_layout],
             "ref_envelope": [float(x) for x in self.ref_envelope],
@@ -223,7 +221,6 @@ class OpticalConfig:
             ref_index=int(payload["ref_index"]),
             slit_width_px=int(payload.get("slit_width_px", DISPLAY_SLIT_WIDTH)),
             slit_pitch_px=int(payload.get("slit_pitch_px", DISPLAY_SLIT_PITCH)),
-            pixel_size_um=float(payload.get("pixel_size_um", DISPLAY_PIXEL_UM)),
             image_dims=tuple(int(v) for v in payload["image_dims"]),
             roi_layout=tuple(tuple(int(v) for v in r) for r in payload["roi_layout"]),
             ref_envelope=tuple(float(v) for v in payload["ref_envelope"]),
@@ -273,18 +270,22 @@ class Interferogram:
 
 def roi_means(frame: Interferogram) -> np.ndarray:
     """Mean intensity of every ROI of one frame."""
-    return np.array([float(frame.roi(k).mean()) for k in range(frame.config.n_slits)])
+    geo = _geometry(frame.config)
+    return geo.per_slit_mean(geo.gather(frame))
 
 
-def _object_amplitudes(psi: PureState, config: OpticalConfig) -> np.ndarray:
-    if config.n_slits == psi.dim:
+def _object_amplitudes(psi: PureState, n_slits: int) -> np.ndarray:
+    """Slit amplitudes of ``psi`` on ``n_slits`` slits, unnormalised.
+
+    With one slit more than the state has, the appended slit is the extra
+    reference at maximum transmission: (c_0 .. c_{d-1}, 1).
+    """
+    if n_slits == psi.dim:
         return psi.amps
-    if config.n_slits == psi.dim + 1:
-        # Extra-reference layout: appended slit at maximum transmission.
+    if n_slits == psi.dim + 1:
         return np.concatenate([psi.amps, [1.0 + 0.0j]])
     raise ConfigMismatch(
-        f"config has {config.n_slits} slits but the state needs "
-        f"{psi.dim} or {psi.dim} + 1"
+        f"config has {n_slits} slits but the state needs {psi.dim} or {psi.dim} + 1"
     )
 
 
@@ -297,11 +298,25 @@ class _Geometry(NamedTuple):
     """
 
     cols: np.ndarray
+    rows: slice  # the reference-band rows that every ROI shares
     starts: np.ndarray
     widths: np.ndarray
+    area: np.ndarray  # pixels per ROI
     profile: np.ndarray  # reference amplitude at every image column
     ref_power: float  # sum of ref**2 over the full image
     band: OpticalConfig  # the packed ROI-band geometry
+
+    def gather(self, frame: Interferogram) -> np.ndarray:
+        """The ROI pixels of ``frame``, packed side by side."""
+        return frame.pixels[self.rows, self.cols]
+
+    def per_slit(self, values: np.ndarray, op=np.add) -> np.ndarray:
+        """Reduce packed band values over rows, then over each slit's columns."""
+        return op.reduceat(op.reduce(values, axis=0), self.starts)
+
+    def per_slit_mean(self, values: np.ndarray) -> np.ndarray:
+        """Per-slit mean of packed band values."""
+        return self.per_slit(values) / self.area
 
 
 @lru_cache(maxsize=64)
@@ -317,7 +332,7 @@ def _geometry(config: OpticalConfig) -> _Geometry:
     # Inside each ROI the reference amplitude is exactly the per-slit value;
     # the interpolated profile between slits is cosmetic only.
     profile[cols] = np.repeat(env, widths)
-    band_height = layout[0][3]
+    _, band_y, _, band_height = layout[0]
     ref_power = band_height * float(np.sum(profile**2))
 
     band = replace(
@@ -326,9 +341,11 @@ def _geometry(config: OpticalConfig) -> _Geometry:
         roi_layout=tuple((int(s), 0, int(w), band_height) for s, w in zip(starts, widths)),
         envelope_kind="custom",
     )
-    for arr in (cols, starts, widths, profile):
+    area = widths * band_height
+    for arr in (cols, starts, widths, area, profile):
         arr.setflags(write=False)
-    return _Geometry(cols, starts, widths, profile, ref_power, band)
+    rows = slice(band_y, band_y + band_height)
+    return _Geometry(cols, rows, starts, widths, area, profile, ref_power, band)
 
 
 def _dc_total(amps: np.ndarray, config: OpticalConfig) -> float:
@@ -349,7 +366,7 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band):
     Both pixel sets share the photon scale, which is fixed by the full image,
     so a band pixel has the same expected count as the image pixel it packs.
     """
-    amps = _object_amplitudes(psi, config)
+    amps = _object_amplitudes(psi, config.n_slits)
     geo = _geometry(config)
     if isinstance(seed, np.random.SeedSequence):
         # Re-root so repeated renders with the same sequence draw the same
@@ -369,8 +386,7 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band):
         out_config = config
         obj_row = np.zeros(config.image_dims[1], dtype=np.complex128)
         obj_row[geo.cols] = band_obj
-        _, y0, _, h0 = config.roi_layout[0]
-        ref_row, ref_rows = geo.profile, slice(y0, y0 + h0)
+        ref_row, ref_rows = geo.profile, geo.rows
     shape = out_config.image_dims
 
     obj = np.broadcast_to(obj_row, shape)

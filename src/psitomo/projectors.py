@@ -20,7 +20,7 @@ exactly three shots per slit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,23 +37,16 @@ OUTCOME_KINDS = ("probability", "count")
 
 @dataclass(frozen=True)
 class ProjectorSpec:
-    """Which slit anchors the interference and which phase steps are used.
-
-    The step phases are a fixed property of the scheme; the field exists so
-    reports and serialized outcomes stay self-describing.
-    """
+    """Which slit anchors the interference; the step phases are always STEP_PHASES."""
 
     dim: int
     ref_index: int = 0
-    step_phases: tuple[float, float, float] = STEP_PHASES
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("qudit dimension must be at least 2")
         if not 0 <= self.ref_index < self.dim:
             raise BadIndex(f"reference index {self.ref_index} outside 0..{self.dim - 1}")
-        if tuple(self.step_phases) != STEP_PHASES:
-            raise ValueError("step phases are fixed at (pi/4, 3pi/4, 5pi/4)")
 
     @property
     def slit_indices(self) -> np.ndarray:
@@ -97,16 +90,6 @@ class ProjectorOutcomes:
             total = float(self.populations.sum())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"populations sum to {total:.17g}, expected 1")
-
-    @property
-    def slit_indices(self) -> np.ndarray:
-        idx = np.arange(self.dim)
-        return idx[idx != self.ref_index]
-
-    @property
-    def n_outcomes(self) -> int:
-        """Total stored outcomes: dim populations + 3 (dim - 1) interference."""
-        return 4 * self.dim - 3
 
     def normalized(self) -> "ProjectorOutcomes":
         """Counts rescaled so populations sum to one; probabilities pass through."""
@@ -153,8 +136,22 @@ def projector_state(spec: ProjectorSpec, slit: int, step: int) -> PureState:
         raise BadIndex(f"step must be 1, 2, or 3, got {step}")
     amps = np.zeros(spec.dim, dtype=np.complex128)
     amps[spec.ref_index] = 1.0 / np.sqrt(2.0)
-    amps[slit] = np.exp(1j * spec.step_phases[step - 1]) / np.sqrt(2.0)
+    amps[slit] = np.exp(1j * STEP_PHASES[step - 1]) / np.sqrt(2.0)
     return PureState(amps)
+
+
+def _two_beam_table(populations, coherence, ref_index: int, phases) -> np.ndarray:
+    """(p_r + p_k)/2 + Re{coh_k e^{i theta}} for every slit k != r and phase theta.
+
+    ``coherence`` is the reference row of the state (rho_rk, or c_r conj(c_k)
+    for a pure state).  Rows follow ascending slit order skipping
+    ``ref_index``.  Born probabilities live in [0, 1], so the ~1e-17
+    negatives that rounding makes are clipped.
+    """
+    others = np.arange(populations.size) != ref_index
+    base = 0.5 * (populations[ref_index] + populations[others])
+    fringe = np.real(coherence[others, None] * np.exp(1j * np.asarray(phases, dtype=float)))
+    return np.clip(base[:, None] + fringe, 0.0, None)
 
 
 def interference_probs(psi: PureState, ref_index: int, phases) -> np.ndarray:
@@ -163,30 +160,23 @@ def interference_probs(psi: PureState, ref_index: int, phases) -> np.ndarray:
     Returns shape (dim - 1, 3); rows follow ascending slit order skipping
     ``ref_index``.
     """
-    amps = psi.amps
     if not 0 <= ref_index < psi.dim:
         raise BadIndex(f"reference index {ref_index} outside 0..{psi.dim - 1}")
-    phases = np.asarray(phases, dtype=float)
-    pops = np.abs(amps) ** 2
-    others = np.arange(psi.dim)[np.arange(psi.dim) != ref_index]
-    coherence = amps[ref_index] * np.conj(amps[others])
-    base = 0.5 * (pops[ref_index] + pops[others])
-    table = base[:, None] + np.real(coherence[:, None] * np.exp(1j * phases)[None, :])
-    # Born probabilities live in [0, 1]; clip the ~1e-17 negatives rounding makes.
-    return np.clip(table, 0.0, None)
+    amps = psi.amps
+    return _two_beam_table(np.abs(amps) ** 2, amps[ref_index] * np.conj(amps), ref_index, phases)
 
 
 def exact_outcomes(psi: PureState, spec: ProjectorSpec | None = None) -> ProjectorOutcomes:
     """Exact Born-rule populations and interference table for a pure state.
 
-    ``spec`` defaults to slit 0 as reference with the standard step phases.
+    ``spec`` defaults to slit 0 as reference.
     """
     if spec is None:
         spec = ProjectorSpec(psi.dim)
     if psi.dim != spec.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != spec dim {spec.dim}")
     pops = np.abs(psi.amps) ** 2
-    table = interference_probs(psi, spec.ref_index, spec.step_phases)
+    table = interference_probs(psi, spec.ref_index, STEP_PHASES)
     return ProjectorOutcomes(spec.dim, spec.ref_index, pops, table)
 
 
@@ -203,17 +193,10 @@ def exact_outcomes_mixed(
         spec = ProjectorSpec(rho.dim)
     if rho.dim != spec.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != spec dim {spec.dim}")
-    mat = rho.matrix
-    pops = np.real(np.diag(mat)).copy()
     r = spec.ref_index
-    others = spec.slit_indices
-    coherence = mat[r, others]
-    base = 0.5 * (pops[r] + pops[others])
-    phases = np.asarray(spec.step_phases)
-    table = base[:, None] + np.real(coherence[:, None] * np.exp(1j * phases)[None, :])
-    return ProjectorOutcomes(
-        spec.dim, r, np.clip(pops, 0.0, None), np.clip(table, 0.0, None)
-    )
+    pops = np.real(np.diag(rho.matrix))
+    table = _two_beam_table(pops, rho.matrix[r], r, STEP_PHASES)
+    return ProjectorOutcomes(spec.dim, r, np.clip(pops, 0.0, None), table)
 
 
 def sample_counts(outcomes: ProjectorOutcomes, noise, seed) -> ProjectorOutcomes:

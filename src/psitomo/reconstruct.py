@@ -33,7 +33,7 @@ from .errors import (
     ZeroResultant,
 )
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
-from .projectors import ProjectorOutcomes, ProjectorSpec
+from .projectors import ProjectorOutcomes, ProjectorSpec, measurement_plan
 from .states import PureState, normalize
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
@@ -50,12 +50,18 @@ TAU_PURITY = 0.02
 _RESULTANT_TOL = 1e-12
 
 
+def _require_finite(values, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+
+
 def psi_phase(i1: float, i2: float, i3: float, *, eps: float | None = None) -> float:
     """Fringe phase in (-pi, pi] from the three stepped intensities.
 
     ``eps`` is the degeneracy threshold on the intensity differences; when
     omitted it defaults to 1e-6 times the largest of the three intensities.
     """
+    _require_finite((i1, i2, i3), "intensities")
     d1 = float(i1) - float(i2)
     d3 = float(i3) - float(i2)
     if eps is None:
@@ -70,6 +76,7 @@ def psi_phase(i1: float, i2: float, i3: float, *, eps: float | None = None) -> f
 
 def psi_visibility(i1: float, i2: float, i3: float, i0: float) -> float:
     """Fringe visibility gamma from the stepped intensities and the mean level."""
+    _require_finite((i1, i2, i3, i0), "intensities")
     if not i0 > 0.0:
         raise NonpositiveReference(f"mean intensity must be positive, got {i0!r}")
     return math.hypot(float(i1) - float(i2), float(i3) - float(i2)) / (
@@ -86,12 +93,14 @@ def circular_mean(phases, weights=None) -> float:
     ph = np.asarray(phases, dtype=float).ravel()
     if ph.size == 0:
         raise ValueError("need at least one phase")
+    _require_finite(ph, "phases")
     if weights is None:
         w = np.ones_like(ph)
     else:
         w = np.asarray(weights, dtype=float).ravel()
         if w.shape != ph.shape:
             raise ValueError("weights must match phases in length")
+        _require_finite(w, "weights")
         if np.min(w) < 0.0:
             raise ValueError("weights cannot be negative")
     wsum = float(w.sum())
@@ -109,6 +118,7 @@ def choose_reference(populations) -> int:
     pops = np.asarray(populations, dtype=float)
     if pops.size == 0:
         raise ValueError("need at least one population")
+    _require_finite(pops, "populations")
     if np.min(pops) < 0.0:
         raise ValueError("populations cannot be negative")
     if float(pops.max()) <= 0.0:
@@ -120,15 +130,17 @@ def choose_reference(populations) -> int:
 class PurityCheck:
     """Outcome of the visibility-saturation test.
 
-    ``margins[k]`` is gamma_k minus the pure-state bound (NaN at the
-    reference slit and at unverifiable ones); the verdict is pure when no
-    verifiable margin drops below -tau.
+    ``bound[k]`` is the pure-state visibility 2 sqrt(p_k r_k) / (p_k + r_k)
+    (0 where p_k or r_k is not positive).  ``margins[k]`` is gamma_k minus
+    that bound (NaN at the reference slit and at unverifiable ones); the
+    verdict is pure when no verifiable margin drops below -tau.
     """
 
     pure: bool
     margins: np.ndarray
     unverifiable: tuple[int, ...]
     tau: float
+    bound: np.ndarray
 
     @property
     def margin(self) -> float:
@@ -160,23 +172,20 @@ def certify_purity(
     if p.shape != g.shape:
         raise ValueError("populations and visibilities must have the same length")
     r = np.broadcast_to(np.asarray(ref_population, dtype=float), p.shape)
+    _require_finite((p, g, r), "populations, visibilities and reference levels")
+    _require_finite(tau, "tau")
     eps = WEAK_FRACTION * float(p.max()) if p.size else 0.0
 
-    margins = np.full(p.shape, np.nan)
-    unverifiable = []
-    pure = True
-    for k in range(p.size):
-        if k == ref_index:
-            continue
-        if p[k] <= eps or r[k] <= 0.0:
-            unverifiable.append(k)
-            continue
-        bound = 2.0 * math.sqrt(p[k] * r[k]) / (p[k] + r[k])
-        margins[k] = g[k] - bound
-        if margins[k] < -tau:
-            pure = False
-    margins.setflags(write=False)
-    return PurityCheck(pure, margins, tuple(unverifiable), float(tau))
+    both = (p > 0.0) & (r > 0.0)
+    bound = np.zeros(p.shape)
+    bound[both] = 2.0 * np.sqrt(p[both] * r[both]) / (p[both] + r[both])
+    others = np.arange(p.size) != ref_index
+    verifiable = others & (p > eps) & (r > 0.0)
+    margins = np.where(verifiable, g - bound, np.nan)
+    unverifiable = tuple(np.flatnonzero(others & ~verifiable).tolist())
+    for arr in (bound, margins):
+        arr.setflags(write=False)
+    return PurityCheck(not (margins < -tau).any(), margins, unverifiable, float(tau), bound)
 
 
 @dataclass(frozen=True)
@@ -185,10 +194,14 @@ class ReconstructionReport:
 
     state: PureState
     per_slit_visibility: np.ndarray
-    expected_visibility: np.ndarray
     purity_verdict: PurityCheck
     reference_used: int
     outcome_budget: int
+
+    @property
+    def expected_visibility(self) -> np.ndarray:
+        """Pure-state visibility bound per slit, as computed by certify_purity."""
+        return self.purity_verdict.bound
 
     def to_dict(self) -> dict:
         slits = []
@@ -248,7 +261,7 @@ def reconstruct_from_outcomes(
             f"strongest population {peak:.3e}"
         )
 
-    others = probs.slit_indices
+    others = np.arange(probs.dim) != r
     table = probs.interference
     z = (table[:, 0] - table[:, 1]) + 1j * (table[:, 2] - table[:, 1])
     c_ref = math.sqrt(p_ref)
@@ -260,51 +273,16 @@ def reconstruct_from_outcomes(
     mean_level = 0.5 * (p_ref + pops[others])
     gamma = np.ones(probs.dim)
     gamma[others] = np.abs(z) / (math.sqrt(2.0) * mean_level)
-    gamma_pure = np.ones(probs.dim)
-    gamma_pure[others] = 2.0 * np.sqrt(p_ref * pops[others]) / (p_ref + pops[others])
     verdict = certify_purity(pops, gamma, p_ref, ref_index=r, tau=tau)
 
     gamma.setflags(write=False)
-    gamma_pure.setflags(write=False)
     return ReconstructionReport(
         state=state,
         per_slit_visibility=gamma,
-        expected_visibility=gamma_pure,
         purity_verdict=verdict,
         reference_used=r,
-        outcome_budget=4 * probs.dim - 3,
+        outcome_budget=measurement_plan(probs.dim, "adaptive").n_outcomes,
     )
-
-
-@dataclass(frozen=True)
-class RoiMeasurement:
-    """Everything one ROI contributes: populations, step means, phase map."""
-
-    slit: int
-    mean_blocked: float
-    step_means: tuple[float, float, float]
-    phase_map: np.ndarray | None = None
-
-
-def extract_roi_measurements(frames: list[Interferogram]) -> list[RoiMeasurement]:
-    """Per-ROI summaries of an ordered frame set (step indices 0..3)."""
-    by_step = _frames_by_step(frames)
-    cfg = by_step[0].config
-    out = []
-    for k in range(cfg.n_slits):
-        rois = [by_step[s].roi(k) for s in range(4)]
-        d1 = rois[1] - rois[2]
-        d3 = rois[3] - rois[2]
-        phase_map = np.arctan2(d3, d1)
-        out.append(
-            RoiMeasurement(
-                slit=k,
-                mean_blocked=float(rois[0].mean()),
-                step_means=tuple(float(rois[s].mean()) for s in (1, 2, 3)),
-                phase_map=phase_map,
-            )
-        )
-    return out
 
 
 def _frames_by_step(frames):
@@ -352,17 +330,9 @@ def reconstruct_from_frames(
 
     n = cfg.n_slits
     geo = _geometry(cfg)
-    _, y, _, h = cfg.roi_layout[0]
-
-    def band(frame):
-        return frame.pixels[y : y + h, geo.cols]
-
-    def per_slit(values, op=np.add):
-        return op.reduceat(op.reduce(values, axis=0), geo.starts)
-
-    roi0, roi1, roi2, roi3 = (band(by_step[s]) for s in range(4))
-    area = geo.widths * h
-    pops = per_slit(roi0) / area
+    per_slit = geo.per_slit
+    roi0, roi1, roi2, roi3 = (geo.gather(by_step[s]) for s in range(4))
+    pops = geo.per_slit_mean(roi0)
     d1 = roi1 - roi2
     d3 = roi3 - roi2
     modulation = np.hypot(d1, d3)
@@ -370,12 +340,12 @@ def reconstruct_from_frames(
     usable = modulation > np.repeat(DEGENERATE_FRACTION * peak, geo.widths)
 
     if calibration is not None:
-        cal = band(calibration)
+        cal = geo.gather(calibration)
         level = roi0 + cal
-        ref_level = per_slit(cal) / area
+        ref_level = geo.per_slit_mean(cal)
     else:
         level = 0.5 * (roi1 + roi3)
-        ref_level = np.maximum(per_slit(level) / area - pops, 0.0)
+        ref_level = np.maximum(geo.per_slit_mean(level) - pops, 0.0)
     lit = level > 0.0
     ratio = np.divide(
         modulation, math.sqrt(2.0) * level, out=np.zeros_like(level), where=lit
@@ -400,19 +370,13 @@ def reconstruct_from_frames(
     amps = np.sqrt(np.clip(pops, 0.0, None)) * np.exp(1j * (phases - phases[r]))
     state = normalize(amps).canonical()
 
-    gamma_pure = np.zeros(n)
-    both = (pops > 0.0) & (ref_level > 0.0)
-    p, q = pops[both], ref_level[both]
-    gamma_pure[both] = 2.0 * np.sqrt(p * q) / (p + q)
     verdict = certify_purity(pops, gamma, ref_level, ref_index=r, tau=tau)
 
     gamma.setflags(write=False)
-    gamma_pure.setflags(write=False)
     return ReconstructionReport(
         state=state,
         per_slit_visibility=gamma,
-        expected_visibility=gamma_pure,
         purity_verdict=verdict,
         reference_used=r,
-        outcome_budget=4 * n,
+        outcome_budget=measurement_plan(n, "image").n_outcomes,
     )

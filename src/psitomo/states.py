@@ -104,6 +104,8 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if mat.shape[0] < 2:
             raise ValueError("qudit dimension must be at least 2")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > NORM_TOL:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(mat))

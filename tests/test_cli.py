@@ -163,6 +163,15 @@ def test_sweep_writes_deterministic_outputs(tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--photons", "--jitter"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sweep_rejects_non_finite_noise(tmp_path, flag, value):
+    args = ["sweep", "--dim", "3", "--trials", "5", "--seed", "1", flag, value]
+    assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert not (tmp_path / "summary.json").exists()
+    assert not (tmp_path / "trials.csv").exists()
+
+
 def test_sweep_config_file_with_flag_override(tmp_path):
     cfg = {
         "dim": 3,

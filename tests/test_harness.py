@@ -228,6 +228,22 @@ def test_calibrate_noise_hits_target():
     assert result.noise.phase_step_jitter_sd == 0.05
 
 
+@pytest.mark.parametrize(
+    "bracket, target, tol, evaluations",
+    [((1e2, 1e10), 0.99, 0.005, 1), ((1.0, 1e10), 0.9999, 1e-4, 2)],
+    ids=["low-end", "high-end"],
+)
+def test_calibrate_noise_returns_at_a_bracket_end(bracket, target, tol, evaluations):
+    # Noiseless apart from shot noise: about 0.992 at 100 photons, 0.49 at
+    # one photon and 1 - 1e-10 at 1e10, so one end already meets the target.
+    template = ExperimentSpec(dim=2, source=StateSource.haar(1), root_seed=11)
+    result = calibrate_noise(target, 2, template, trials=20, tol=tol, bracket=bracket)
+    assert result.evaluations == evaluations
+    assert result.photons_per_frame == bracket[evaluations - 1]
+    assert result.noise.photons_per_frame == result.photons_per_frame
+    assert abs(result.achieved_mean_fidelity - target) <= tol
+
+
 def test_calibrate_noise_unattainable_target():
     template = ExperimentSpec(
         dim=2,

@@ -105,6 +105,16 @@ def test_interferogram_rejects_non_finite_pixels(bad):
         Interferogram(1, pixels, cfg)
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["photons_per_frame", "phase_step_jitter_sd", "phase_inhomogeneity_sd", "dark_rate"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_noise_model_rejects_non_finite_and_negative_fields(field, bad):
+    with pytest.raises(ValueError):
+        NoiseModel(**{field: bad})
+
+
 def test_interferogram_validates_shape_and_freezes_pixels():
     cfg = flat_config(2)
     with pytest.raises(ValueError):

@@ -1,0 +1,120 @@
+"""Property tests of the physics invariants, run with hypothesis.
+
+States are Haar draws keyed by an integer seed; the profile in conftest.py
+derandomizes the search, so every run checks the same examples.
+"""
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from psitomo import (
+    DensityMatrix,
+    NoiseModel,
+    OpticalConfig,
+    ProjectorOutcomes,
+    ProjectorSpec,
+    PureState,
+    exact_outcomes,
+    exact_outcomes_mixed,
+    fidelity,
+    haar_random,
+    reconstruct_from_frames,
+    reconstruct_from_outcomes,
+    render_frames,
+    sample_counts,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def states(draw, max_dim=8):
+    return haar_random(draw(st.integers(2, max_dim)), draw(seeds))
+
+
+@st.composite
+def states_with_reference(draw, max_dim=8):
+    """A state plus a reference slit strong enough to anchor a reconstruction."""
+    psi = draw(states(max_dim))
+    ref = draw(st.integers(0, psi.dim - 1))
+    pops = np.abs(psi.amps) ** 2
+    assume(pops[ref] >= 1e-3 * pops.max())
+    return psi, ref
+
+
+def outcome_report(psi, ref):
+    return reconstruct_from_outcomes(exact_outcomes(psi, ProjectorSpec(psi.dim, ref)))
+
+
+def assert_same_report(a, b):
+    assert np.allclose(a.state.amps, b.state.amps, rtol=0, atol=1e-12)
+    assert np.allclose(a.per_slit_visibility, b.per_slit_visibility, rtol=0, atol=1e-12)
+    assert np.allclose(a.expected_visibility, b.expected_visibility, rtol=0, atol=1e-12)
+    assert np.allclose(
+        a.purity_verdict.margins, b.purity_verdict.margins, rtol=0, atol=1e-12, equal_nan=True
+    )
+    assert a.purity_verdict.pure == b.purity_verdict.pure
+    assert a.reference_used == b.reference_used
+
+
+@given(states_with_reference(), st.floats(-np.pi, np.pi))
+def test_outcome_reconstruction_ignores_a_global_phase(case, phi):
+    psi, ref = case
+    rotated = PureState(psi.amps * np.exp(1j * phi))
+    assert_same_report(outcome_report(psi, ref), outcome_report(rotated, ref))
+
+
+@given(states())
+def test_mixed_outcomes_of_a_pure_state_are_the_pure_outcomes(psi):
+    rho = DensityMatrix.from_pure(psi)
+    for ref in range(psi.dim):
+        spec = ProjectorSpec(psi.dim, ref)
+        pure, mixed = exact_outcomes(psi, spec), exact_outcomes_mixed(rho, spec)
+        assert np.allclose(mixed.populations, pure.populations, rtol=0, atol=1e-15)
+        assert np.allclose(mixed.interference, pure.interference, rtol=0, atol=1e-15)
+
+
+@given(states(), seeds, st.floats(1e-3, 1e6))
+def test_outcome_reconstruction_ignores_the_count_scale(psi, seed, scale):
+    ref = int(np.argmax(np.abs(psi.amps)))
+    exact = exact_outcomes(psi, ProjectorSpec(psi.dim, ref))
+    counts = sample_counts(exact, NoiseModel(photons_per_frame=1e4), seed)
+    scaled = ProjectorOutcomes(
+        psi.dim, ref, counts.populations * scale, counts.interference * scale, kind="count"
+    )
+    assert_same_report(reconstruct_from_outcomes(counts), reconstruct_from_outcomes(scaled))
+
+
+@given(states_with_reference(), st.data())
+def test_relabelling_slits_and_reference_permutes_the_result(case, data):
+    psi, ref = case
+    perm = np.array(data.draw(st.permutations(range(psi.dim))))
+    moved = np.empty_like(psi.amps)
+    moved[perm] = psi.amps  # slit k becomes slit perm[k]
+    a = outcome_report(psi, ref)
+    b = outcome_report(PureState(moved), int(perm[ref]))
+    assert b.reference_used == perm[ref]
+    assert fidelity(a.state, PureState(b.state.amps[perm])) >= 1.0 - 1e-12
+    assert np.allclose(b.per_slit_visibility[perm], a.per_slit_visibility, rtol=0, atol=1e-12)
+    assert np.allclose(b.expected_visibility[perm], a.expected_visibility, rtol=0, atol=1e-12)
+    assert np.allclose(
+        b.purity_verdict.margins[perm], a.purity_verdict.margins,
+        rtol=0, atol=1e-12, equal_nan=True,
+    )
+    assert sorted(b.purity_verdict.unverifiable) == sorted(
+        int(perm[k]) for k in a.purity_verdict.unverifiable
+    )
+
+
+@given(states_with_reference(max_dim=5))
+def test_expected_visibility_is_the_purity_bound(case):
+    psi, ref = case
+    outcomes = outcome_report(psi, ref)
+    config = OpticalConfig.for_dim(psi.dim).with_reference(ref)
+    frames = reconstruct_from_frames(render_frames(psi, config, roi_band=True))
+    for report in (outcomes, frames):
+        assert np.array_equal(report.expected_visibility, report.purity_verdict.bound)
+    # A pure state saturates the bound, which is exactly 1 at the reference
+    # slit in outcome mode (the reference interferes with itself).
+    assert outcomes.expected_visibility[ref] == 1.0

@@ -14,7 +14,6 @@ from psitomo import (
     circular_mean,
     exact_outcomes,
     exact_outcomes_mixed,
-    extract_roi_measurements,
     fidelity,
     haar_random,
     normalize,
@@ -120,6 +119,37 @@ def test_choose_reference():
         choose_reference([0.0, 0.0])
     with pytest.raises(ValueError):
         choose_reference([-0.1, 0.2])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: psi_phase(1.0, NAN, 0.5),
+        lambda: psi_phase(math.inf, 0.5, 0.2),
+        lambda: psi_visibility(NAN, 0.5, 0.2, 1.0),
+        lambda: psi_visibility(1.0, 0.5, 0.2, math.inf),
+        lambda: circular_mean([0.1, NAN]),
+        lambda: circular_mean([0.1, 0.2], weights=[1.0, math.inf]),
+        lambda: choose_reference([0.2, NAN, 0.9]),
+        lambda: choose_reference([0.2, math.inf]),
+        lambda: certify_purity([0.5, 0.5], [1.0, NAN], 0.5, ref_index=0),
+        lambda: certify_purity([0.5, math.inf], [1.0, 1.0], 0.5, ref_index=0),
+        lambda: certify_purity([0.5, 0.5], [1.0, 1.0], [0.5, NAN], ref_index=0),
+        lambda: certify_purity([0.5, 0.5], [1.0, 0.0], 0.5, ref_index=0, tau=NAN),
+    ],
+    ids=[
+        "psi_phase-nan", "psi_phase-inf", "psi_visibility-nan", "psi_visibility-inf-level",
+        "circular_mean-nan", "circular_mean-inf-weight", "choose_reference-nan",
+        "choose_reference-inf", "certify_purity-nan-visibility", "certify_purity-inf-population",
+        "certify_purity-nan-reference", "certify_purity-nan-tau",
+    ],
+)
+def test_helpers_reject_non_finite_input(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # ------------------------------------------------------------ purity
@@ -362,15 +392,3 @@ def test_noisy_band_and_full_reconstructions_agree():
         frames = render_frames(psi, cfg, noise, seed=8, roi_band=roi_band)
         assert fidelity(psi, reconstruct_from_frames(frames).state) > 0.99
 
-
-def test_extract_roi_measurements_summaries():
-    psi = haar_random(3, seed=54)
-    cfg = OpticalConfig.for_dim(3, envelope="flat")
-    frames = render_frames(psi, cfg)
-    ms = extract_roi_measurements(frames)
-    assert [m.slit for m in ms] == [0, 1, 2]
-    pops = np.abs(psi.amps) ** 2
-    for m in ms:
-        assert m.mean_blocked == pytest.approx(pops[m.slit], abs=1e-12)
-        assert len(m.step_means) == 3
-        assert m.phase_map.shape == frames[0].roi(m.slit).shape

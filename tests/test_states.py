@@ -132,6 +132,14 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(2))  # trace 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        DensityMatrix(np.full((2, 2), bad))
+    with pytest.raises(ValueError):
+        DensityMatrix(np.array([[0.5, bad], [bad, 0.5]]))
+
+
 def test_density_matrix_from_pure_and_purity():
     psi = haar_random(4, seed=77)
     rho = DensityMatrix.from_pure(psi)
