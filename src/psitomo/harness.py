@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import TomographyError, Unattainable
+from .errors import AllZero, TomographyError, Unattainable
 from .imaging import (
     NoiseModel,
     OpticalConfig,
@@ -37,6 +37,10 @@ PIPELINES = ("outcomes", "frames")
 REFERENCE_MODES = ("fixed", "adaptive", "extra_slit")
 
 HISTOGRAM_BINS = 20
+
+#: Outcome trials that run_batch prepares together: one reference choice and
+#: one two-beam table computation per chunk.
+OUTCOME_CHUNK = 256
 
 _CALIBRATION_TAG = 0x43414C
 
@@ -94,6 +98,9 @@ class ExperimentSpec:
             raise ValueError(f"reference mode must be one of {REFERENCE_MODES}")
         if self.source.kind == "bloch_grid" and self.dim != 2:
             raise ValueError("the Bloch lattice source is defined for dim 2 only")
+        # Written so that NaN fails the test too.
+        if not 0.0 <= float(self.tau_purity) < math.inf:
+            raise ValueError("tau_purity must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -155,32 +162,54 @@ def generate_states(spec: ExperimentSpec) -> list[PureState]:
     return [haar_random(spec.dim, s) for s in seeds]
 
 
-def _outcomes_trial(psi: PureState, spec: ExperimentSpec, rng: np.random.Generator):
-    """One outcome acquisition; draws populations, then jitter, then interference."""
-    noise = spec.noise
-    photons = float(noise.photons_per_frame)
+def _outcome_trials(states, spec: ExperimentSpec, seeds, indices, strict=False):
+    """Outcome trials of a run of states; a TomographyError becomes a failed-trial
+    record, or propagates when ``strict``.
 
-    amps, ref = psi.amps, 0
-    if spec.reference_mode == "extra_slit":
-        amps = _object_amplitudes(psi, psi.dim + 1) / math.sqrt(2.0)
-        ref = psi.dim
-
+    Each trial draws from its own Generator on SeedSequence(seed):
+    populations, then step jitter, then interference, so its result does not
+    depend on the other trials.  References and two-beam tables are computed
+    for the whole run at once.
+    """
+    photons = float(spec.noise.photons_per_frame)
+    extra = spec.reference_mode == "extra_slit"
+    amps = np.array([_object_amplitudes(psi, spec.dim + int(extra)) for psi in states])
+    if extra:
+        amps = amps / math.sqrt(2.0)
     pops = np.abs(amps) ** 2
-    measured = rng.poisson(pops * photons).astype(float) if photons > 0.0 else pops
+    rngs = [np.random.default_rng(np.random.SeedSequence(int(s))) for s in seeds]
+    measured = pops
+    if photons > 0.0:
+        measured = np.array([g.poisson(p * photons) for g, p in zip(rngs, pops)], dtype=float)
+    ref = np.full(len(states), spec.dim if extra else 0)
+    lit = measured.max(axis=1) > 0.0
     if spec.reference_mode == "adaptive":
-        ref = choose_reference(measured)
+        # choose_reference row by row: the first strongest population.
+        ref = np.argmax(measured, axis=1)
 
     # One phase error per step: the stepping element moves once per setting
     # and every slit pairing inherits that same error.
-    jitter = rng.standard_normal(3) * float(noise.phase_step_jitter_sd)
-    phases = np.asarray(STEP_PHASES) + jitter
-    table = _two_beam_table(pops, amps[ref] * np.conj(amps), ref, phases)
-    if photons > 0.0:
-        table = rng.poisson(table * photons).astype(float)
+    jitter = np.array([g.standard_normal(3) for g in rngs]) * float(spec.noise.phase_step_jitter_sd)
+    coherence = amps[np.arange(len(states)), ref][:, None] * np.conj(amps)
+    tables = _two_beam_table(pops, coherence, ref, np.asarray(STEP_PHASES) + jitter)
 
     kind = "count" if photons > 0.0 else "probability"
-    outcomes = ProjectorOutcomes(amps.size, ref, measured, table, kind=kind)
-    return reconstruct_from_outcomes(outcomes, tau=spec.tau_purity)
+    results = []
+    for j, psi in enumerate(states):
+        try:
+            if spec.reference_mode == "adaptive" and not lit[j]:
+                raise AllZero("all populations are zero")
+            table = tables[j]
+            if photons > 0.0:
+                table = rngs[j].poisson(table * photons).astype(float)
+            outcomes = ProjectorOutcomes(amps.shape[1], int(ref[j]), measured[j], table, kind=kind)
+            report = reconstruct_from_outcomes(outcomes, tau=spec.tau_purity)
+            results.append(_record(psi, spec, seeds[j], indices[j], report))
+        except TomographyError as exc:
+            if strict:
+                raise
+            results.append(_record(psi, spec, seeds[j], indices[j], exc))
+    return results
 
 
 def _frames_trial(psi: PureState, spec: ExperimentSpec, seq):
@@ -218,27 +247,25 @@ def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -
     """
     if psi.dim != spec.dim:
         raise ValueError("state dimension differs from spec.dim")
-    seq = np.random.SeedSequence(int(seed))
-    if spec.pipeline == "outcomes":
-        report = _outcomes_trial(psi, spec, np.random.default_rng(seq))
-    else:
-        report = _frames_trial(psi, spec, seq)
+    if spec.pipeline == "frames":
+        report = _frames_trial(psi, spec, np.random.SeedSequence(int(seed)))
+        return _record(psi, spec, seed, index, report)
+    return _outcome_trials([psi], spec, [seed], [index], strict=True)[0]
 
-    recon = report.state
+
+def _record(psi: PureState, spec: ExperimentSpec, seed, index, outcome) -> TrialResult:
+    """The result of a trial from its ReconstructionReport, or the failed-trial
+    record of the TomographyError it raised."""
+    known = dict(index=index, dim=spec.dim, seed=int(seed), true_state=psi)
+    if isinstance(outcome, TomographyError):
+        return TrialResult(**known, fidelity=0.0, pure=False, reference_used=-1,
+                           outcome_budget=0, error=type(outcome).__name__, recon_state=None)
+    recon = outcome.state
     if spec.reference_mode == "extra_slit":
         recon = normalize(recon.amps[: psi.dim])
-    return TrialResult(
-        index=index,
-        dim=spec.dim,
-        seed=int(seed),
-        fidelity=fidelity(psi, recon),
-        pure=report.purity_verdict.pure,
-        reference_used=report.reference_used,
-        outcome_budget=report.outcome_budget,
-        error=None,
-        true_state=psi,
-        recon_state=recon,
-    )
+    return TrialResult(**known, fidelity=fidelity(psi, recon), pure=outcome.purity_verdict.pure,
+                       reference_used=outcome.reference_used,
+                       outcome_budget=outcome.outcome_budget, error=None, recon_state=recon)
 
 
 def _run_indexed(args) -> TrialResult:
@@ -247,28 +274,25 @@ def _run_indexed(args) -> TrialResult:
     try:
         return run_trial(psi, spec, seed, index)
     except TomographyError as exc:
-        return TrialResult(
-            index=index,
-            dim=spec.dim,
-            seed=seed,
-            fidelity=0.0,
-            pure=False,
-            reference_used=-1,
-            outcome_budget=0,
-            error=type(exc).__name__,
-            true_state=psi,
-            recon_state=None,
-        )
+        return _record(psi, spec, seed, index, exc)
 
 
 def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
     """Run every state of the source through the pipeline and aggregate.
 
-    Results are ordered by trial index and are independent of ``workers``.
+    Results are ordered by trial index and are independent of ``workers``,
+    which only the frames pipeline uses; outcome trials run in one thread,
+    OUTCOME_CHUNK at a time.
     """
     states = generate_states(spec)
     jobs = [(psi, spec, i) for i, psi in enumerate(states)]
-    if workers > 1:
+    if spec.pipeline == "outcomes":
+        trials = []
+        for start in range(0, len(states), OUTCOME_CHUNK):
+            indices = range(start, min(start + OUTCOME_CHUNK, len(states)))
+            seeds = [trial_seed(spec.root_seed, i) for i in indices]
+            trials += _outcome_trials(states[start : indices.stop], spec, seeds, indices)
+    elif workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(_run_indexed, jobs))
     else:

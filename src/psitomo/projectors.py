@@ -95,16 +95,16 @@ class ProjectorOutcomes:
         """Counts rescaled so populations sum to one; probabilities pass through."""
         if self.kind == "probability":
             return self
+        return ProjectorOutcomes(self.dim, self.ref_index, *self._probabilities())
+
+    def _probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+        """(populations, interference) rescaled so populations sum to one."""
+        if self.kind == "probability":
+            return self.populations, self.interference
         total = float(self.populations.sum())
         if total <= 0.0:
             raise AllZero("cannot normalize outcomes with zero total counts")
-        return ProjectorOutcomes(
-            dim=self.dim,
-            ref_index=self.ref_index,
-            populations=self.populations / total,
-            interference=self.interference / total,
-            kind="probability",
-        )
+        return self.populations / total, self.interference / total
 
     def to_dict(self) -> dict:
         return {
@@ -140,18 +140,24 @@ def projector_state(spec: ProjectorSpec, slit: int, step: int) -> PureState:
     return PureState(amps)
 
 
-def _two_beam_table(populations, coherence, ref_index: int, phases) -> np.ndarray:
+def _two_beam_table(populations, coherence, ref_index, phases) -> np.ndarray:
     """(p_r + p_k)/2 + Re{coh_k e^{i theta}} for every slit k != r and phase theta.
 
     ``coherence`` is the reference row of the state (rho_rk, or c_r conj(c_k)
     for a pure state).  Rows follow ascending slit order skipping
     ``ref_index``.  Born probabilities live in [0, 1], so the ~1e-17
-    negatives that rounding makes are clipped.
+    negatives that rounding makes are clipped.  Batched: (n, d) populations
+    and coherences, n references, (n, 3) or (3,) phases give (n, d - 1, 3).
     """
-    others = np.arange(populations.size) != ref_index
-    base = 0.5 * (populations[ref_index] + populations[others])
-    fringe = np.real(coherence[others, None] * np.exp(1j * np.asarray(phases, dtype=float)))
-    return np.clip(base[:, None] + fringe, 0.0, None)
+    pops = np.atleast_2d(populations)
+    n, d = pops.shape
+    ref = np.broadcast_to(ref_index, (n,))
+    others = np.arange(d) != ref[:, None]
+    base = 0.5 * (pops[np.arange(n), ref][:, None] + pops[others].reshape(n, d - 1))
+    coh = np.atleast_2d(coherence)[others].reshape(n, d - 1, 1)
+    rot = np.exp(1j * np.asarray(phases, dtype=float)).reshape(-1, 1, 3)
+    table = np.clip(base[:, :, None] + np.real(coh * rot), 0.0, None)
+    return table[0] if np.ndim(populations) == 1 else table
 
 
 def interference_probs(psi: PureState, ref_index: int, phases) -> np.ndarray:

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, ProjectorSpec, measurement_plan
-from .states import PureState, normalize
+from .states import PHASE_PIVOT, PureState, _canonical_phase, normalize
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
 #: strongest population.
@@ -174,18 +174,22 @@ def certify_purity(
     r = np.broadcast_to(np.asarray(ref_population, dtype=float), p.shape)
     _require_finite((p, g, r), "populations, visibilities and reference levels")
     _require_finite(tau, "tau")
+    return _purity_check(p, g, r, ref_index, float(tau))
+
+
+def _purity_check(p, g, r, ref_index: int, tau: float) -> PurityCheck:
+    """certify_purity on finite float input, unchecked; ``r`` may be a scalar."""
     eps = WEAK_FRACTION * float(p.max()) if p.size else 0.0
 
     both = (p > 0.0) & (r > 0.0)
-    bound = np.zeros(p.shape)
-    bound[both] = 2.0 * np.sqrt(p[both] * r[both]) / (p[both] + r[both])
+    bound = np.divide(2.0 * np.sqrt(p * r), p + r, out=np.zeros(p.shape), where=both)
     others = np.arange(p.size) != ref_index
     verifiable = others & (p > eps) & (r > 0.0)
     margins = np.where(verifiable, g - bound, np.nan)
     unverifiable = tuple(np.flatnonzero(others & ~verifiable).tolist())
     for arr in (bound, margins):
         arr.setflags(write=False)
-    return PurityCheck(not (margins < -tau).any(), margins, unverifiable, float(tau), bound)
+    return PurityCheck(not (margins < -tau).any(), margins, unverifiable, tau, bound)
 
 
 @dataclass(frozen=True)
@@ -250,9 +254,10 @@ def reconstruct_from_outcomes(
                 f"outcomes reference {outcomes.ref_index} != spec reference "
                 f"{spec.ref_index}"
             )
-    probs = outcomes.normalized()
-    pops = probs.populations
-    r = probs.ref_index
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    pops, table = outcomes._probabilities()
+    r = outcomes.ref_index
     p_ref = float(pops[r])
     peak = float(pops.max())
     if p_ref <= 0.0 or p_ref < WEAK_FRACTION * peak:
@@ -261,19 +266,19 @@ def reconstruct_from_outcomes(
             f"strongest population {peak:.3e}"
         )
 
-    others = np.arange(probs.dim) != r
-    table = probs.interference
+    others = np.arange(outcomes.dim) != r
     z = (table[:, 0] - table[:, 1]) + 1j * (table[:, 2] - table[:, 1])
     c_ref = math.sqrt(p_ref)
-    amps = np.zeros(probs.dim, dtype=np.complex128)
+    amps = np.zeros(outcomes.dim, dtype=np.complex128)
     amps[r] = c_ref
     amps[others] = np.conj(z / (math.sqrt(2.0) * c_ref))
-    state = normalize(amps).canonical()
+    # Canonical phase first (pivot floor scaled to the norm): one normalize call.
+    state = normalize(_canonical_phase(amps, PHASE_PIVOT * float(np.linalg.norm(amps))))
 
     mean_level = 0.5 * (p_ref + pops[others])
-    gamma = np.ones(probs.dim)
+    gamma = np.ones(outcomes.dim)
     gamma[others] = np.abs(z) / (math.sqrt(2.0) * mean_level)
-    verdict = certify_purity(pops, gamma, p_ref, ref_index=r, tau=tau)
+    verdict = _purity_check(pops, gamma, p_ref, r, float(tau))
 
     gamma.setflags(write=False)
     return ReconstructionReport(
@@ -281,7 +286,7 @@ def reconstruct_from_outcomes(
         per_slit_visibility=gamma,
         purity_verdict=verdict,
         reference_used=r,
-        outcome_budget=measurement_plan(probs.dim, "adaptive").n_outcomes,
+        outcome_budget=measurement_plan(outcomes.dim, "adaptive").n_outcomes,
     )
 
 

@@ -34,7 +34,7 @@ class PureState:
             raise ValueError("amplitudes must form a 1-D vector")
         if arr.size < 2:
             raise ValueError("qudit dimension must be at least 2")
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
+        norm_sq = float(np.vdot(arr, arr).real)
         # Written so that a NaN norm fails the test too.
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(
@@ -61,18 +61,8 @@ class PureState:
         exists for a unit vector).  Applying canonical() twice yields exactly
         the same amplitudes as applying it once.
         """
-        mags = np.abs(self._amps)
-        above = mags > PHASE_PIVOT
-        if not above.any():
-            return self
-        pivot = int(np.argmax(above))
-        phase = float(np.angle(self._amps[pivot]))
-        if phase == 0.0:
-            return self
-        rotated = self._amps * np.exp(-1j * phase)
-        # Pin the pivot exactly real so a second pass sees phase == 0.0.
-        rotated[pivot] = mags[pivot]
-        return PureState(rotated)
+        rotated = _canonical_phase(self._amps)
+        return self if rotated is self._amps else PureState(rotated)
 
     def to_dict(self) -> dict:
         """JSON-ready form; amplitudes are written in canonical phase."""
@@ -139,6 +129,21 @@ class DensityMatrix:
         return cls(np.eye(dim) / dim)
 
 
+def _canonical_phase(amps: np.ndarray, floor: float = PHASE_PIVOT) -> np.ndarray:
+    """``amps`` turned so its first amplitude above ``floor`` is real positive."""
+    mags = np.abs(amps)
+    pivot = int(np.argmax(mags > floor))
+    if not mags[pivot] > floor:
+        return amps
+    phase = float(np.angle(amps[pivot]))
+    if phase == 0.0:
+        return amps
+    rotated = amps * np.exp(-1j * phase)
+    # Pin the pivot exactly real so a second pass sees phase == 0.0.
+    rotated[pivot] = mags[pivot]
+    return rotated
+
+
 def normalize(amps) -> PureState:
     """Scale an amplitude vector to unit norm.
 
@@ -147,7 +152,7 @@ def normalize(amps) -> PureState:
     arr = np.asarray(amps, dtype=np.complex128)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D amplitude vector of length >= 2")
-    if np.max(np.abs(arr)) < 1e-15:
+    if np.abs(arr).max() < 1e-15:
         raise ZeroVector("cannot normalize a zero amplitude vector")
     return PureState(arr / np.linalg.norm(arr))
 
