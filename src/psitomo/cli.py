@@ -262,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--pipeline", choices=("outcomes", "frames"), default=None)
     swp.add_argument("--ref-mode", choices=("fixed", "adaptive", "extra_slit"), default=None)
     swp.add_argument("--seed", type=int, required=True, help="batch root seed")
-    swp.add_argument("--workers", type=int, default=1)
+    swp.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; every sweep runs in one thread",
+    )
     swp.add_argument("--out-dir", default=None)
     swp.add_argument("--photons", type=float, default=None)
     swp.add_argument("--jitter", type=float, default=None)

@@ -1,8 +1,9 @@
 """Monte Carlo driver: batches of simulated tomography runs plus calibration.
 
 Every trial is a pure function of (state, experiment spec, trial seed), and
-trial seeds derive from the batch root seed and the trial index alone, so a
-batch gives bit-identical results no matter how many workers execute it.
+trial seeds derive from the batch root seed and the trial index alone.  Every
+batch runs in one thread, OUTCOME_CHUNK trials at a time, through one loop
+for both pipelines; ``workers`` is accepted for compatibility only.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,8 +38,8 @@ REFERENCE_MODES = ("fixed", "adaptive", "extra_slit")
 
 HISTOGRAM_BINS = 20
 
-#: Outcome trials that run_batch prepares together: one reference choice and
-#: one two-beam table computation per chunk.
+#: Trials that run_batch prepares together: per chunk, one reference choice
+#: and one two-beam table computation for outcomes, one optical config for frames.
 OUTCOME_CHUNK = 256
 
 _CALIBRATION_TAG = 0x43414C
@@ -77,7 +77,7 @@ class StateSource:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything that defines one batch except the worker count."""
+    """Everything that defines one batch."""
 
     dim: int
     source: StateSource
@@ -101,6 +101,12 @@ class ExperimentSpec:
         # Written so that NaN fails the test too.
         if not 0.0 <= float(self.tau_purity) < math.inf:
             raise ValueError("tau_purity must be finite and non-negative")
+        slits = self.dim + int(self.reference_mode == "extra_slit")
+        if self.optical is not None and self.optical.n_slits != slits:
+            raise ValueError(
+                f"optical config has {self.optical.n_slits} slits; "
+                f"a {self.reference_mode} run at dim {self.dim} needs {slits}"
+            )
 
 
 @dataclass(frozen=True)
@@ -162,9 +168,8 @@ def generate_states(spec: ExperimentSpec) -> list[PureState]:
     return [haar_random(spec.dim, s) for s in seeds]
 
 
-def _outcome_trials(states, spec: ExperimentSpec, seeds, indices, strict=False):
-    """Outcome trials of a run of states; a TomographyError becomes a failed-trial
-    record, or propagates when ``strict``.
+def _outcome_run(states, spec: ExperimentSpec, seeds):
+    """Outcome trials of a run of states, as one report-returning call per trial.
 
     Each trial draws from its own Generator on SeedSequence(seed):
     populations, then step jitter, then interference, so its result does not
@@ -192,50 +197,58 @@ def _outcome_trials(states, spec: ExperimentSpec, seeds, indices, strict=False):
     jitter = np.array([g.standard_normal(3) for g in rngs]) * float(spec.noise.phase_step_jitter_sd)
     coherence = amps[np.arange(len(states)), ref][:, None] * np.conj(amps)
     tables = _two_beam_table(pops, coherence, ref, np.asarray(STEP_PHASES) + jitter)
-
     kind = "count" if photons > 0.0 else "probability"
+
+    def trial(j):
+        if spec.reference_mode == "adaptive" and not lit[j]:
+            raise AllZero("all populations are zero")
+        table = tables[j]
+        if photons > 0.0:
+            table = rngs[j].poisson(table * photons).astype(float)
+        outcomes = ProjectorOutcomes(amps.shape[1], int(ref[j]), measured[j], table, kind=kind)
+        return reconstruct_from_outcomes(outcomes, tau=spec.tau_purity)
+
+    return trial
+
+
+def _frames_run(states, spec: ExperimentSpec, seeds):
+    """Frames trials of a run of states, as one report-returning call per trial.
+
+    The optical config is resolved once per run.  Reconstruction reads only
+    ROI pixels, so each trial renders the ROI band from the first child of
+    SeedSequence(seed); an adaptive trial renders its blocked frame first to
+    choose the reference.
+    """
+    extra = spec.reference_mode == "extra_slit"
+    config = spec.optical or OpticalConfig.for_dim(spec.dim, extra_reference=extra)
+
+    def trial(j):
+        psi, cfg = states[j], config
+        render_seed = np.random.SeedSequence(int(seeds[j])).spawn(1)[0]
+        if spec.reference_mode == "adaptive":
+            blocked = render_blocked_frame(psi, cfg, spec.noise, render_seed, roi_band=True)
+            cfg = cfg.with_reference(choose_reference(roi_means(blocked)))
+        frames = render_frames(psi, cfg, spec.noise, render_seed,
+                               include_calibration=spec.calibration_frame, roi_band=True)
+        calibration = frames[4] if spec.calibration_frame else None
+        return reconstruct_from_frames(frames[:4], calibration, tau=spec.tau_purity)
+
+    return trial
+
+
+def _trials(states, spec: ExperimentSpec, seeds, indices, strict=False):
+    """Run and record trials of a run of states; a TomographyError becomes a
+    failed-trial record, or propagates when ``strict``."""
+    trial = (_frames_run if spec.pipeline == "frames" else _outcome_run)(states, spec, seeds)
     results = []
     for j, psi in enumerate(states):
         try:
-            if spec.reference_mode == "adaptive" and not lit[j]:
-                raise AllZero("all populations are zero")
-            table = tables[j]
-            if photons > 0.0:
-                table = rngs[j].poisson(table * photons).astype(float)
-            outcomes = ProjectorOutcomes(amps.shape[1], int(ref[j]), measured[j], table, kind=kind)
-            report = reconstruct_from_outcomes(outcomes, tau=spec.tau_purity)
-            results.append(_record(psi, spec, seeds[j], indices[j], report))
+            results.append(_record(psi, spec, seeds[j], indices[j], trial(j)))
         except TomographyError as exc:
             if strict:
                 raise
             results.append(_record(psi, spec, seeds[j], indices[j], exc))
     return results
-
-
-def _frames_trial(psi: PureState, spec: ExperimentSpec, seq):
-    render_seed = seq.spawn(1)[0]
-    extra = spec.reference_mode == "extra_slit"
-    config = spec.optical
-    if config is None:
-        config = OpticalConfig.for_dim(psi.dim, extra_reference=extra)
-    elif extra and config.n_slits != psi.dim + 1:
-        raise ValueError("extra_slit mode needs a config with dim + 1 slits")
-
-    # Reconstruction reads only ROI pixels, so batch trials render the ROI band.
-    if spec.reference_mode == "adaptive":
-        blocked = render_blocked_frame(psi, config, spec.noise, render_seed, roi_band=True)
-        config = config.with_reference(choose_reference(roi_means(blocked)))
-
-    frames = render_frames(
-        psi,
-        config,
-        spec.noise,
-        render_seed,
-        include_calibration=spec.calibration_frame,
-        roi_band=True,
-    )
-    calibration = frames[4] if spec.calibration_frame else None
-    return reconstruct_from_frames(frames[:4], calibration, tau=spec.tau_purity)
 
 
 def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -> TrialResult:
@@ -247,10 +260,7 @@ def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -
     """
     if psi.dim != spec.dim:
         raise ValueError("state dimension differs from spec.dim")
-    if spec.pipeline == "frames":
-        report = _frames_trial(psi, spec, np.random.SeedSequence(int(seed)))
-        return _record(psi, spec, seed, index, report)
-    return _outcome_trials([psi], spec, [seed], [index], strict=True)[0]
+    return _trials([psi], spec, [seed], [index], strict=True)[0]
 
 
 def _record(psi: PureState, spec: ExperimentSpec, seed, index, outcome) -> TrialResult:
@@ -268,35 +278,18 @@ def _record(psi: PureState, spec: ExperimentSpec, seed, index, outcome) -> Trial
                        outcome_budget=outcome.outcome_budget, error=None, recon_state=recon)
 
 
-def _run_indexed(args) -> TrialResult:
-    psi, spec, index = args
-    seed = trial_seed(spec.root_seed, index)
-    try:
-        return run_trial(psi, spec, seed, index)
-    except TomographyError as exc:
-        return _record(psi, spec, seed, index, exc)
-
-
 def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
     """Run every state of the source through the pipeline and aggregate.
 
-    Results are ordered by trial index and are independent of ``workers``,
-    which only the frames pipeline uses; outcome trials run in one thread,
-    OUTCOME_CHUNK at a time.
+    Trials run in one thread, OUTCOME_CHUNK at a time, ordered by trial
+    index.  ``workers`` is accepted for compatibility and changes nothing.
     """
     states = generate_states(spec)
-    jobs = [(psi, spec, i) for i, psi in enumerate(states)]
-    if spec.pipeline == "outcomes":
-        trials = []
-        for start in range(0, len(states), OUTCOME_CHUNK):
-            indices = range(start, min(start + OUTCOME_CHUNK, len(states)))
-            seeds = [trial_seed(spec.root_seed, i) for i in indices]
-            trials += _outcome_trials(states[start : indices.stop], spec, seeds, indices)
-    elif workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(_run_indexed, jobs))
-    else:
-        trials = [_run_indexed(j) for j in jobs]
+    trials = []
+    for start in range(0, len(states), OUTCOME_CHUNK):
+        indices = range(start, min(start + OUTCOME_CHUNK, len(states)))
+        seeds = [trial_seed(spec.root_seed, i) for i in indices]
+        trials += _trials(states[start : indices.stop], spec, seeds, indices)
 
     fids = np.array([t.fidelity for t in trials])
     edges = _histogram_edges(fids)

@@ -201,19 +201,6 @@ class OpticalConfig:
         )
         return replace(self, ref_index=ref_index, ref_envelope=env)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_slits": self.n_slits,
-            "ref_index": self.ref_index,
-            "slit_width_px": self.slit_width_px,
-            "slit_pitch_px": self.slit_pitch_px,
-            "image_dims": list(self.image_dims),
-            "roi_layout": [list(r) for r in self.roi_layout],
-            "ref_envelope": [float(x) for x in self.ref_envelope],
-            "envelope_kind": self.envelope_kind,
-            "envelope_width": self.envelope_width,
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> "OpticalConfig":
         return cls(

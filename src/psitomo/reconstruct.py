@@ -47,6 +47,10 @@ DEGENERATE_FRACTION = 1e-6
 #: Default slack on the visibility-vs-population purity test.
 TAU_PURITY = 0.02
 
+#: Rounding slack added to tau: exact pure-state data land up to about 1e-15
+#: below the bound, while any admixture worth detecting costs far more.
+PURITY_FLOOR = 1e-12
+
 _RESULTANT_TOL = 1e-12
 
 
@@ -133,7 +137,7 @@ class PurityCheck:
     ``bound[k]`` is the pure-state visibility 2 sqrt(p_k r_k) / (p_k + r_k)
     (0 where p_k or r_k is not positive).  ``margins[k]`` is gamma_k minus
     that bound (NaN at the reference slit and at unverifiable ones); the
-    verdict is pure when no verifiable margin drops below -tau.
+    verdict is pure when no verifiable margin drops below -tau - PURITY_FLOOR.
     """
 
     pure: bool
@@ -189,7 +193,8 @@ def _purity_check(p, g, r, ref_index: int, tau: float) -> PurityCheck:
     unverifiable = tuple(np.flatnonzero(others & ~verifiable).tolist())
     for arr in (bound, margins):
         arr.setflags(write=False)
-    return PurityCheck(not (margins < -tau).any(), margins, unverifiable, tau, bound)
+    pure = not (margins < -tau - PURITY_FLOOR).any()
+    return PurityCheck(pure, margins, unverifiable, tau, bound)
 
 
 @dataclass(frozen=True)
@@ -254,8 +259,6 @@ def reconstruct_from_outcomes(
                 f"outcomes reference {outcomes.ref_index} != spec reference "
                 f"{spec.ref_index}"
             )
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
     pops, table = outcomes._probabilities()
     r = outcomes.ref_index
     p_ref = float(pops[r])
@@ -272,21 +275,30 @@ def reconstruct_from_outcomes(
     amps = np.zeros(outcomes.dim, dtype=np.complex128)
     amps[r] = c_ref
     amps[others] = np.conj(z / (math.sqrt(2.0) * c_ref))
-    # Canonical phase first (pivot floor scaled to the norm): one normalize call.
-    state = normalize(_canonical_phase(amps, PHASE_PIVOT * float(np.linalg.norm(amps))))
 
     mean_level = 0.5 * (p_ref + pops[others])
     gamma = np.ones(outcomes.dim)
     gamma[others] = np.abs(z) / (math.sqrt(2.0) * mean_level)
-    verdict = _purity_check(pops, gamma, p_ref, r, float(tau))
+    return _report(amps, pops, gamma, p_ref, r, tau, "adaptive")
 
+
+def _report(amps, pops, gamma, ref_level, r: int, tau, plan: str) -> ReconstructionReport:
+    """The report both reconstructors end in, from finite float arrays.
+
+    The canonical phase (pivot floor scaled to the norm) comes before the one
+    normalize, so the state is built once.
+    """
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    state = normalize(_canonical_phase(amps, PHASE_PIVOT * float(np.linalg.norm(amps))))
+    verdict = _purity_check(pops, gamma, ref_level, r, float(tau))
     gamma.setflags(write=False)
     return ReconstructionReport(
         state=state,
         per_slit_visibility=gamma,
         purity_verdict=verdict,
         reference_used=r,
-        outcome_budget=measurement_plan(outcomes.dim, "adaptive").n_outcomes,
+        outcome_budget=measurement_plan(amps.size, plan).n_outcomes,
     )
 
 
@@ -373,15 +385,4 @@ def reconstruct_from_frames(
     phases[phases == -math.pi] = math.pi
 
     amps = np.sqrt(np.clip(pops, 0.0, None)) * np.exp(1j * (phases - phases[r]))
-    state = normalize(amps).canonical()
-
-    verdict = certify_purity(pops, gamma, ref_level, ref_index=r, tau=tau)
-
-    gamma.setflags(write=False)
-    return ReconstructionReport(
-        state=state,
-        per_slit_visibility=gamma,
-        purity_verdict=verdict,
-        reference_used=r,
-        outcome_budget=measurement_plan(n, "image").n_outcomes,
-    )
+    return _report(amps, pops, gamma, ref_level, r, tau, "image")

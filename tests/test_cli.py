@@ -244,3 +244,27 @@ def test_missing_outcome_file_is_config_error(tmp_path):
          "--out-dir", str(tmp_path)]
     )
     assert code == EXIT_CONFIG
+
+
+def test_sweep_rejects_config_optics_with_wrong_slit_count(tmp_path):
+    optical = OpticalConfig.for_dim(5)
+    cfg = {
+        "dim": 3,
+        "trials": 5,
+        "pipeline": "frames",
+        "reference_mode": "fixed",
+        "optical": {
+            "n_slits": optical.n_slits,
+            "ref_index": optical.ref_index,
+            "image_dims": list(optical.image_dims),
+            "roi_layout": [list(r) for r in optical.roi_layout],
+            "ref_envelope": list(optical.ref_envelope),
+        },
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--seed", "1", "--out-dir", str(out)]) == (
+        EXIT_CONFIG
+    )
+    assert not (out / "trials.csv").exists()

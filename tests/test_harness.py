@@ -8,6 +8,7 @@ import pytest
 from psitomo import (
     ExperimentSpec,
     NoiseModel,
+    OpticalConfig,
     StateSource,
     calibrate_noise,
     fidelity,
@@ -259,3 +260,22 @@ def test_calibrate_noise_unattainable_target():
 def test_calibrate_noise_rejects_silly_target():
     with pytest.raises(ValueError):
         calibrate_noise(1.5, 2, spec_of(dim=2), trials=10)
+
+
+@pytest.mark.parametrize(
+    "mode, config",
+    [
+        ("fixed", dict(dim=5)),
+        ("adaptive", dict(dim=2)),
+        ("fixed", dict(dim=3, extra_reference=True)),
+        ("extra_slit", dict(dim=3)),
+        ("extra_slit", dict(dim=4, extra_reference=True)),
+    ],
+    ids=["fixed-5-slits", "adaptive-2-slits", "fixed-4-slits", "extra_slit-3-slits",
+         "extra_slit-5-slits"],
+)
+def test_spec_rejects_optical_config_with_wrong_slit_count(mode, config):
+    optical = OpticalConfig.for_dim(**config)
+    with pytest.raises(ValueError, match="slits"):
+        spec_of(dim=3, pipeline="frames", reference_mode=mode, optical=optical)
+

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from psitomo import (
     DensityMatrix,
+    ExperimentSpec,
     NoiseModel,
     OpticalConfig,
     ProjectorOutcomes,
     ProjectorSpec,
     PureState,
+    StateSource,
     exact_outcomes,
     exact_outcomes_mixed,
     fidelity,
@@ -22,6 +24,7 @@ from psitomo import (
     reconstruct_from_frames,
     reconstruct_from_outcomes,
     render_frames,
+    run_trial,
     sample_counts,
 )
 
@@ -118,3 +121,22 @@ def test_expected_visibility_is_the_purity_bound(case):
     # A pure state saturates the bound, which is exactly 1 at the reference
     # slit in outcome mode (the reference interferes with itself).
     assert outcomes.expected_visibility[ref] == 1.0
+
+
+@given(st.integers(2, 8), seeds, st.sampled_from(["fixed", "adaptive", "extra_slit"]))
+def test_noiseless_outcome_and_frames_reconstructions_agree(dim, seed, mode):
+    psi = haar_random(dim, seed)
+    if mode == "fixed":
+        pops = np.abs(psi.amps) ** 2
+        assume(pops[0] >= 1e-3 * pops.max())
+    extra = mode == "extra_slit"
+    optical = OpticalConfig.for_dim(dim, extra_reference=extra, envelope="flat")
+    reports = [
+        run_trial(psi, ExperimentSpec(dim=dim, source=StateSource.explicit([psi]), root_seed=0,
+                                      pipeline=pipeline, reference_mode=mode, optical=optical),
+                  seed=0)
+        for pipeline in ("outcomes", "frames")
+    ]
+    outcomes, frames = reports
+    assert outcomes.reference_used == frames.reference_used
+    assert fidelity(outcomes.recon_state, frames.recon_state) >= 1.0 - 1e-9

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from psitomo import (
+    ExperimentSpec,
     NoiseModel,
     OpticalConfig,
     ProjectorSpec,
+    StateSource,
     certify_purity,
     choose_reference,
     circular_mean,
@@ -22,6 +24,7 @@ from psitomo import (
     reconstruct_from_frames,
     reconstruct_from_outcomes,
     render_frames,
+    run_batch,
     sample_counts,
 )
 from psitomo.errors import (
@@ -192,6 +195,29 @@ def test_certify_purity_vacuous_when_nothing_verifiable():
     check = certify_purity(pops, np.array([1.0, 0.0]), 1.0, ref_index=0)
     assert check.pure
     assert check.margin == math.inf
+
+
+def test_certify_purity_forgives_rounding_but_not_admixture_at_zero_tau():
+    pops = np.array([0.5, 0.5])
+    rounded = certify_purity(pops, np.array([1.0, 1.0 - 2e-15]), 0.5, ref_index=0, tau=0.0)
+    assert rounded.pure and rounded.tau == 0.0
+    assert not certify_purity(pops, np.array([1.0, 1.0 - 1e-9]), 0.5, ref_index=0, tau=0.0).pure
+
+
+@pytest.mark.parametrize(
+    "pipeline, envelope, n",
+    [("outcomes", None, 200), ("frames", "flat", 20), ("frames", "sinc", 20)],
+)
+@pytest.mark.parametrize("dim", range(2, 15))
+def test_noiseless_states_certify_pure_at_zero_tau(pipeline, envelope, n, dim):
+    optical = None if envelope is None else OpticalConfig.for_dim(dim, envelope=envelope)
+    spec = ExperimentSpec(
+        dim=dim, source=StateSource.haar(n), root_seed=0, pipeline=pipeline,
+        optical=optical, tau_purity=0.0,
+    )
+    stats = run_batch(spec)
+    assert stats.n_failed == 0
+    assert stats.purity_false_negatives == 0
 
 
 # ------------------------------------------------------------ outcome inversion
