@@ -3,7 +3,8 @@
 Every trial is a pure function of (state, experiment spec, trial seed), and
 trial seeds derive from the batch root seed and the trial index alone.  Every
 batch runs in one thread, OUTCOME_CHUNK trials at a time, through one loop
-for both pipelines; ``workers`` is accepted for compatibility only.
+for both pipelines; ``workers`` is accepted for compatibility only.  A frames
+trial renders once; an adaptive one picks its reference inside that render.
 """
 
 from __future__ import annotations
@@ -11,19 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AllZero, TomographyError, Unattainable
-from .imaging import (
-    NoiseModel,
-    OpticalConfig,
-    _object_amplitudes,
-    render_blocked_frame,
-    render_frames,
-    roi_means,
-)
+from .imaging import NoiseModel, OpticalConfig, _object_amplitudes, _render
 from .projectors import STEP_PHASES, ProjectorOutcomes, _two_beam_table
 from .reconstruct import (
     TAU_PURITY,
@@ -125,7 +121,11 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Batch aggregates; failed trials enter the statistics with fidelity 0."""
+    """Batch aggregates; failed trials enter the statistics with fidelity 0.
+
+    ``failures_by_kind`` counts the failed trials per TomographyError class
+    name, in sorted name order.
+    """
 
     n_trials: int
     n_failed: int
@@ -134,6 +134,7 @@ class SummaryStats:
     hist_edges: tuple[float, ...]
     hist_counts: tuple[int, ...]
     purity_false_negatives: int
+    failures_by_kind: dict[str, int]
     trials: tuple[TrialResult, ...]
 
     def to_dict(self) -> dict:
@@ -145,6 +146,7 @@ class SummaryStats:
             "hist_edges": list(self.hist_edges),
             "hist_counts": list(self.hist_counts),
             "purity_false_negatives": self.purity_false_negatives,
+            "failures_by_kind": dict(self.failures_by_kind),
         }
 
 
@@ -215,21 +217,22 @@ def _frames_run(states, spec: ExperimentSpec, seeds):
     """Frames trials of a run of states, as one report-returning call per trial.
 
     The optical config is resolved once per run.  Reconstruction reads only
-    ROI pixels, so each trial renders the ROI band from the first child of
-    SeedSequence(seed); an adaptive trial renders its blocked frame first to
-    choose the reference.
+    ROI pixels, so each trial renders the ROI band once, from the first child
+    of SeedSequence(seed).  An adaptive trial chooses its reference inside
+    that render from frame 0's per-slit means and takes the reference's
+    config from a per-run table, so the phase field, the step jitter and the
+    config are not built twice.
     """
     extra = spec.reference_mode == "extra_slit"
     config = spec.optical or OpticalConfig.for_dim(spec.dim, extra_reference=extra)
+    table = lru_cache(maxsize=None)(config.with_reference)  # built as references occur
+    adaptive = spec.reference_mode == "adaptive"
+    pick = (lambda means: table(choose_reference(means))) if adaptive else None
 
     def trial(j):
-        psi, cfg = states[j], config
         render_seed = np.random.SeedSequence(int(seeds[j])).spawn(1)[0]
-        if spec.reference_mode == "adaptive":
-            blocked = render_blocked_frame(psi, cfg, spec.noise, render_seed, roi_band=True)
-            cfg = cfg.with_reference(choose_reference(roi_means(blocked)))
-        frames = render_frames(psi, cfg, spec.noise, render_seed,
-                               include_calibration=spec.calibration_frame, roi_band=True)
+        frames = _render(states[j], config, spec.noise, render_seed, (0, 1, 2, 3),
+                         spec.calibration_frame, True, pick)
         calibration = frames[4] if spec.calibration_frame else None
         return reconstruct_from_frames(frames[:4], calibration, tau=spec.tau_purity)
 
@@ -304,6 +307,7 @@ def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
         purity_false_negatives=sum(
             1 for t in trials if t.error is None and not t.pure
         ),
+        failures_by_kind=dict(sorted(Counter(t.error for t in trials if t.error).items())),
         trials=tuple(trials),
     )
 

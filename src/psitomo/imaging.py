@@ -347,11 +347,16 @@ def _dc_total(amps: np.ndarray, config: OpticalConfig) -> float:
     return height * float(np.dot(geo.widths, np.abs(amps) ** 2)) + geo.ref_power
 
 
-def _render(psi, config, noise, seed, steps, include_calibration, roi_band):
+def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick=None):
     """Render the wanted frames over the full image or over the ROI band only.
 
     Both pixel sets share the photon scale, which is fixed by the full image,
     so a band pixel has the same expected count as the image pixel it packs.
+
+    ``pick`` renders an adaptive acquisition in one pass: it maps the per-slit
+    means of a frame 0 drawn at ``config``'s photon scale to the config that
+    renders the frames, on the same phase field and jitter.  Frame 0 is drawn
+    again at the picked photon scale, so the frames equal render_frames there.
     """
     amps = _object_amplitudes(psi, config.n_slits)
     geo = _geometry(config)
@@ -364,25 +369,22 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band):
     field_seq, jitter_seq, shot_seq = seed.spawn(3)
 
     # One row of each beam; the object fills every row, the reference only
-    # the rows of its band.
+    # the rows of its band.  Neither the band nor the object depends on the
+    # reference slit.
     band_obj = np.repeat(amps, geo.widths)
     if roi_band:
-        out_config = geo.band
-        obj_row, ref_row, ref_rows = band_obj, geo.profile[geo.cols], slice(None)
+        obj_row, shape = band_obj, geo.band.image_dims
     else:
-        out_config = config
         obj_row = np.zeros(config.image_dims[1], dtype=np.complex128)
         obj_row[geo.cols] = band_obj
-        ref_row, ref_rows = geo.profile, geo.rows
-    shape = out_config.image_dims
+        shape = config.image_dims
 
     obj = np.broadcast_to(obj_row, shape)
     sd = float(noise.phase_inhomogeneity_sd)
     if sd > 0.0:
         phase_field = np.random.default_rng(field_seq).normal(0.0, sd, shape)
         obj = obj * np.exp(1j * phase_field)
-    ref = np.zeros(shape)
-    ref[ref_rows] = ref_row
+    level = np.abs(obj) ** 2  # frame 0: the reference is blocked
 
     # The piezo moves once per frame, so each step gets a single phase error.
     jitter = np.random.default_rng(jitter_seq).standard_normal(3) * float(
@@ -390,16 +392,31 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band):
     )
 
     photons = float(noise.photons_per_frame)
-    scale = photons / _dc_total(amps, config) if photons > 0.0 else 1.0
-    shot_rng = np.random.default_rng(shot_seq) if photons > 0.0 else None
 
-    wanted = list(steps) + ([CALIBRATION_STEP] if include_calibration else [])
+    def shots(cfg):
+        """Shot-noise draws on a fresh stream at ``cfg``'s photon scale."""
+        if photons <= 0.0:
+            return lambda intensity: intensity
+        scale, rng = photons / _dc_total(amps, cfg), np.random.default_rng(shot_seq)
+        return lambda intensity: rng.poisson(scale * intensity + noise.dark_rate).astype(float)
+
+    if pick is not None:
+        blocked = shots(config)(level)
+        seen = _geometry(geo.band) if roi_band else geo
+        config = pick(seen.per_slit_mean(blocked[seen.rows, seen.cols]))
+        geo = _geometry(config)
+    draw = shots(config)
+    if roi_band:
+        out_config, ref_row, ref_rows = geo.band, geo.profile[geo.cols], slice(None)
+    else:
+        out_config, ref_row, ref_rows = config, geo.profile, geo.rows
+    ref = np.zeros(shape)
+    ref[ref_rows] = ref_row
+
     frames = []
-    for step in (0, 1, 2, 3, CALIBRATION_STEP):
-        if step not in wanted:
-            continue
+    for step in (*steps, CALIBRATION_STEP) if include_calibration else steps:
         if step == 0:
-            intensity = np.abs(obj) ** 2
+            intensity = level
         elif step == CALIBRATION_STEP:
             intensity = ref**2
         else:
@@ -409,11 +426,7 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band):
             # equal arg(c_k) rather than its negative.
             delta = np.pi / 2.0 * (step - 0.5) + jitter[step - 1]
             intensity = np.abs(obj + ref * np.exp(-1j * delta)) ** 2
-        if shot_rng is not None:
-            pixels = shot_rng.poisson(scale * intensity + noise.dark_rate).astype(float)
-        else:
-            pixels = intensity
-        frames.append(Interferogram(step, pixels, out_config))
+        frames.append(Interferogram(step, draw(intensity), out_config))
     return frames
 
 
@@ -453,8 +466,9 @@ def render_blocked_frame(
 ) -> Interferogram:
     """Only frame 0, bit-identical to the one render_frames would produce.
 
-    Lets an adaptive run look at the populations before committing to a
-    reference slit, without paying for the interference frames.
+    Shows the populations before a reference slit is chosen.  Batch trials do
+    not call it: an adaptive frames trial draws frame 0 inside its one render
+    and picks the reference there (``_render``'s ``pick``).
     """
     return _render(psi, config, noise, seed, (0,), False, roi_band)[0]
 

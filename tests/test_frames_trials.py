@@ -1,4 +1,5 @@
-"""Frames trials in batches: pinned per-trial draws and row independence.
+"""Frames trials in batches: pinned per-trial draws, row independence, and the
+one-pass adaptive render.
 
 ``data/frames_trials_pinned.json`` holds, for fourteen small frames specs, the
 seed, reference, verdict, error and fidelity of every trial as the batch
@@ -22,12 +23,19 @@ from psitomo import (
     NoiseModel,
     OpticalConfig,
     StateSource,
+    choose_reference,
+    haar_random,
+    reconstruct_from_frames,
+    render_blocked_frame,
+    render_frames,
+    roi_means,
     run_batch,
     run_trial,
     trial_seed,
 )
-from psitomo.errors import TomographyError
-from psitomo.harness import generate_states
+from psitomo.errors import AllZero, TomographyError
+from psitomo.harness import _frames_run, generate_states
+from psitomo.imaging import DISPLAY_PHASE_SD, _render
 
 PINNED = json.loads((Path(__file__).parent / "data" / "frames_trials_pinned.json").read_text())
 
@@ -104,3 +112,76 @@ def test_frames_batch_rows_match_single_trials(dim, mode, photons, n, root):
             single.pure, single.reference_used, single.outcome_budget, single.fidelity
         )
         assert np.array_equal(row.recon_state.amps, single.recon_state.amps)
+
+
+def two_pass_adaptive(psi, config, noise, seed, calibration, roi_band=True):
+    """The adaptive acquisition as separate calls: blocked frame, reference
+    choice, then every frame rendered with the chosen reference's config."""
+    blocked = render_blocked_frame(psi, config, noise, seed, roi_band=roi_band)
+    chosen = config.with_reference(choose_reference(roi_means(blocked)))
+    return render_frames(psi, chosen, noise, seed, calibration, roi_band=roi_band)
+
+
+@settings(max_examples=40)
+@example(dim=5, envelope="sinc", calibration=False, dark=0.0, photons=30.0, band=True, seed=1)
+@example(dim=8, envelope="flat", calibration=True, dark=0.5, photons=1e5, band=False, seed=3)
+@given(
+    dim=st.integers(2, 8),
+    envelope=st.sampled_from(["sinc", "flat"]),
+    calibration=st.booleans(),
+    dark=st.sampled_from([0.0, 0.5]),
+    photons=st.sampled_from([0.0, 30.0, 1e5]),
+    band=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pass_adaptive_render_equals_two_passes(
+    dim, envelope, calibration, dark, photons, band, seed
+):
+    """Choosing the reference inside one render changes no pixel, no config
+    and no error, with or without shot noise, dark counts and calibration."""
+    psi = haar_random(dim, seed)
+    config = OpticalConfig.for_dim(dim, envelope=envelope)
+    noise = NoiseModel(photons, 0.1, DISPLAY_PHASE_SD, dark)
+    render_seed = np.random.SeedSequence(seed).spawn(1)[0]
+
+    def pick(means):
+        return config.with_reference(choose_reference(means))
+
+    try:
+        want = two_pass_adaptive(psi, config, noise, render_seed, calibration, band)
+    except AllZero:
+        with pytest.raises(AllZero):
+            _render(psi, config, noise, render_seed, (0, 1, 2, 3), calibration, band, pick)
+        return
+    got = _render(psi, config, noise, render_seed, (0, 1, 2, 3), calibration, band, pick)
+    assert [f.step_index for f in got] == [f.step_index for f in want]
+    for g, w in zip(got, want):
+        assert g.config == w.config
+        assert np.array_equal(g.pixels, w.pixels)
+
+
+def test_one_pass_adaptive_render_reaches_all_zero():
+    """The low-photon example above does take the AllZero path."""
+    noise = NoiseModel(30.0, 0.1, DISPLAY_PHASE_SD)
+    render_seed = np.random.SeedSequence(1).spawn(1)[0]
+    with pytest.raises(AllZero):
+        two_pass_adaptive(haar_random(5, 1), OpticalConfig.for_dim(5), noise, render_seed, False)
+
+
+@pytest.mark.parametrize("calibration", [False, True])
+def test_adaptive_frames_trial_reconstructs_the_two_pass_frames(calibration):
+    """A batch trial's report is the reconstruction of the two-pass frames."""
+    spec = ExperimentSpec(
+        dim=6, source=StateSource.haar(4), root_seed=21, pipeline="frames",
+        noise=NoiseModel.bench_defaults(1e4), calibration_frame=calibration,
+    )
+    states, seeds = generate_states(spec), [trial_seed(21, i) for i in range(4)]
+    trial = _frames_run(states, spec, seeds)
+    for j, psi in enumerate(states):
+        render_seed = np.random.SeedSequence(seeds[j]).spawn(1)[0]
+        config = OpticalConfig.for_dim(6)
+        frames = two_pass_adaptive(psi, config, spec.noise, render_seed, calibration)
+        want = reconstruct_from_frames(frames[:4], frames[4] if calibration else None)
+        got = trial(j)
+        assert got.reference_used == want.reference_used
+        assert np.array_equal(got.state.amps, want.state.amps)

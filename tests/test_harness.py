@@ -212,6 +212,40 @@ def test_summary_json_round_trips(tmp_path):
     assert payload["mean_fidelity"] == stats.mean_fidelity
 
 
+@pytest.mark.parametrize(
+    "spec, kinds",
+    [
+        # The failing specs of the pinned trial files, with their pinned counts.
+        (ExperimentSpec(dim=5, source=StateSource.haar(20), root_seed=11, pipeline="frames",
+                        noise=NoiseModel.bench_defaults(10.0)),
+         {"AllZero": 15, "DegenerateFringe": 1}),
+        # Its first failure is a ZeroVector, so the keys are sorted, not in
+        # order of first appearance.
+        (ExperimentSpec(dim=5, source=StateSource.haar(20), root_seed=1, pipeline="frames",
+                        noise=NoiseModel.bench_defaults(10.0)),
+         {"AllZero": 13, "DegenerateFringe": 1, "ZeroVector": 1}),
+        (ExperimentSpec(dim=5, source=StateSource.haar(100), root_seed=3, reference_mode="fixed",
+                        noise=NoiseModel.bench_defaults(30.0)),
+         {"WeakReference": 16}),
+        (spec_of(n=4), {}),
+    ],
+    ids=["frames-low-photons", "frames-zero-vector-first", "outcomes-fixed-reference",
+         "no-failures"],
+)
+def test_summary_counts_failures_by_kind(tmp_path, spec, kinds):
+    stats = run_batch(spec)
+    assert stats.failures_by_kind == kinds
+    assert list(stats.failures_by_kind) == sorted(kinds)
+    assert sum(kinds.values()) == stats.n_failed
+    for kind, count in kinds.items():
+        assert sum(t.error == kind for t in stats.trials) == count
+    one, many = tmp_path / "one.json", tmp_path / "many.json"
+    write_summary_json(one, stats, spec)
+    write_summary_json(many, run_batch(spec, workers=4), spec)
+    assert one.read_bytes() == many.read_bytes()
+    assert json.loads(one.read_text())["failures_by_kind"] == kinds
+
+
 # ------------------------------------------------------------ calibration
 
 

@@ -4,9 +4,14 @@ States are Haar draws keyed by an integer seed; the profile in conftest.py
 derandomizes the search, so every run checks the same examples.
 """
 
+from pathlib import Path
+from tempfile import TemporaryDirectory
+
 import numpy as np
-from hypothesis import assume, given
+import pytest
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from psitomo import (
     DensityMatrix,
@@ -27,6 +32,7 @@ from psitomo import (
     run_trial,
     sample_counts,
 )
+from psitomo.pgmio import PGM_MAXVAL, read_pgm, write_pgm
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -140,3 +146,69 @@ def test_noiseless_outcome_and_frames_reconstructions_agree(dim, seed, mode):
     outcomes, frames = reports
     assert outcomes.reference_used == frames.reference_used
     assert fidelity(outcomes.recon_state, frames.recon_state) >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------- PGM files
+
+pgm_shapes = st.tuples(st.integers(1, 24), st.integers(1, 24))
+
+
+def read_blob(blob: bytes) -> np.ndarray:
+    with TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.pgm"
+        path.write_bytes(blob)
+        return read_pgm(path)
+
+
+@given(pgm_shapes, st.data())
+def test_pgm_round_trip_keeps_every_16_bit_value(shape, data):
+    pixels = data.draw(arrays(np.uint16, shape, elements=st.integers(0, PGM_MAXVAL)))
+    pixels.flat[0] = 0
+    pixels.flat[-1] = PGM_MAXVAL
+    with TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.pgm"
+        write_pgm(path, pixels)
+        again = read_pgm(path)
+    assert again.dtype == float and again.shape == shape
+    assert np.array_equal(again, pixels)
+
+
+@given(pgm_shapes, st.integers(1, 255) | st.integers(256, PGM_MAXVAL), st.data())
+def test_pgm_reads_8_and_16_bit_files(shape, maxval, data):
+    """Files with maxval up to 255 hold one byte per pixel, others two."""
+    dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
+    pixels = data.draw(arrays(dtype, shape, elements=st.integers(0, maxval)))
+    header = f"P5\n{shape[1]} {shape[0]}\n{maxval}\n".encode()
+    assert np.array_equal(read_blob(header + pixels.tobytes()), pixels)
+
+
+whitespace = st.sampled_from([b" ", b"\t", b"\n", b"\r\n", b" \n\t"])
+comments = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+@st.composite
+def header_separator(draw, commented):
+    """Whitespace between two header fields, holding a comment if asked."""
+    if not commented:
+        return draw(whitespace)
+    before = draw(st.sampled_from([b"", b" ", b"\n"]))
+    end = draw(st.sampled_from([b"\n", b"\r"]))
+    after = draw(st.sampled_from([b"", b" ", b"\t"]))
+    return before + b"#" + draw(comments).encode() + end + after
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["after-magic", "after-width", "after-height"])
+@given(pgm_shapes, st.data())
+@example(shape=(2, 3), data=None)
+def test_pgm_header_comments_at_every_separator(position, shape, data):
+    """A comment may fill any whitespace between P5, width, height and maxval."""
+    if data is None:  # the explicit example: comments everywhere, '#' inside one
+        seps = [b"\n# one\n", b" #two # 3 4\r", b"\t#\n"]
+    else:
+        seps = [data.draw(header_separator(k == position or data.draw(st.booleans())))
+                for k in range(3)]
+    pixels = (np.arange(shape[0] * shape[1]) * 257 % (PGM_MAXVAL + 1)).astype(">u2")
+    pixels = pixels.reshape(shape)
+    fields = [b"P5", str(shape[1]).encode(), str(shape[0]).encode(), str(PGM_MAXVAL).encode()]
+    header = fields[0] + b"".join(sep + f for sep, f in zip(seps, fields[1:])) + b"\n"
+    assert np.array_equal(read_blob(header + pixels.tobytes()), pixels)
