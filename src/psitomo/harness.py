@@ -40,6 +40,9 @@ OUTCOME_CHUNK = 256
 
 _CALIBRATION_TAG = 0x43414C
 
+#: Bisection probes calibrate_noise makes after probing both bracket ends.
+CALIBRATION_MAX_PROBES = 80
+
 
 @dataclass(frozen=True)
 class StateSource:
@@ -103,6 +106,11 @@ class ExperimentSpec:
                 f"optical config has {self.optical.n_slits} slits; "
                 f"a {self.reference_mode} run at dim {self.dim} needs {slits}"
             )
+        # Any slit may become an adaptive run's reference, and only a custom
+        # envelope is not recentered on it.
+        custom = self.optical is not None and self.optical.envelope_kind == "custom"
+        if self.reference_mode == "adaptive" and custom and min(self.optical.ref_envelope) <= 0:
+            raise ValueError("an adaptive run needs a custom envelope positive at every slit")
 
 
 @dataclass(frozen=True)
@@ -369,7 +377,6 @@ def calibrate_noise(
     trials: int = 200,
     tol: float = 0.002,
     bracket: tuple[float, float] = (1e2, 1e10),
-    max_iter: int = 80,
 ) -> CalibrationResult:
     """Find the photon budget whose batch mean fidelity hits the target.
 
@@ -402,7 +409,7 @@ def calibrate_noise(
     log_lo, log_hi = math.log10(lo), math.log10(hi)
     f_lo = math.nan
     # Probe both ends of the bracket first, then bisect in log10(photons).
-    for evals in range(1, max_iter + 3):
+    for evals in range(1, CALIBRATION_MAX_PROBES + 3):
         photons = (lo, hi)[evals - 1] if evals <= 2 else 10.0 ** (0.5 * (log_lo + log_hi))
         noise = template.noise.with_photons(photons)
         fid = run_batch(replace(base, noise=noise)).mean_fidelity
@@ -421,5 +428,5 @@ def calibrate_noise(
         else:
             log_hi = math.log10(photons)
     raise Unattainable(
-        f"bisection did not reach {target} +/- {tol} within {max_iter} probes"
+        f"bisection did not reach {target} +/- {tol} within {CALIBRATION_MAX_PROBES} probes"
     )

@@ -96,7 +96,6 @@ class OpticalConfig:
 
     n_slits: int
     ref_index: int = 0
-    slit_width_px: int = DISPLAY_SLIT_WIDTH
     slit_pitch_px: int = DISPLAY_SLIT_PITCH
     image_dims: tuple[int, int] = (0, 0)  # (height, width); filled by for_dim
     roi_layout: tuple[tuple[int, int, int, int], ...] = ()
@@ -109,8 +108,8 @@ class OpticalConfig:
             raise ValueError("need at least two slits")
         if not 0 <= self.ref_index < self.n_slits:
             raise ValueError(f"ref_index {self.ref_index} outside 0..{self.n_slits - 1}")
-        if not 0 < self.slit_width_px < self.slit_pitch_px:
-            raise ValueError("slit width must be positive and below the pitch")
+        if self.slit_pitch_px <= 0:
+            raise ValueError("slit pitch must be positive")
         if self.envelope_kind not in ENVELOPE_KINDS:
             raise ValueError(f"envelope_kind must be one of {ENVELOPE_KINDS}")
         height, width = self.image_dims
@@ -121,8 +120,11 @@ class OpticalConfig:
         if len(self.ref_envelope) != self.n_slits:
             raise ValueError("need exactly one envelope value per slit")
         env = np.asarray(self.ref_envelope, dtype=float)
-        if np.min(env) < 0.0 or np.max(env) > 1.0:
+        # Written so that NaN fails the tests too.
+        if not np.all((env >= 0.0) & (env <= 1.0)):
             raise ValueError("envelope entries must lie in [0, 1]")
+        if self.envelope_width is not None and not 0.0 < float(self.envelope_width) < np.inf:
+            raise ValueError("envelope_width must be None or finite and positive")
         if env[self.ref_index] <= 0.0:
             raise ValueError("envelope must be positive at the reference slit")
         spans = []
@@ -144,13 +146,7 @@ class OpticalConfig:
         dim: int,
         *,
         extra_reference: bool = False,
-        ref_index: int | None = None,
         envelope: str = "sinc",
-        envelope_width: float | None = None,
-        image_height: int = DEFAULT_IMAGE_HEIGHT,
-        band_height: int = DEFAULT_BAND_HEIGHT,
-        slit_width_px: int = DISPLAY_SLIT_WIDTH,
-        slit_pitch_px: int = DISPLAY_SLIT_PITCH,
     ) -> "OpticalConfig":
         """Standard layout: slits on a fixed pitch, one centered ROI row.
 
@@ -161,28 +157,21 @@ class OpticalConfig:
         if dim < 2:
             raise ValueError("qudit dimension must be at least 2")
         n_slits = dim + 1 if extra_reference else dim
-        if ref_index is None:
-            ref_index = dim if extra_reference else 0
-        margin = slit_pitch_px
-        width = 2 * margin + n_slits * slit_pitch_px
-        band_y = (image_height - band_height) // 2
+        ref_index = dim if extra_reference else 0
+        width = (n_slits + 2) * DISPLAY_SLIT_PITCH  # one pitch of margin on each side
+        band_y = (DEFAULT_IMAGE_HEIGHT - DEFAULT_BAND_HEIGHT) // 2
         rois = []
         for k in range(n_slits):
-            x = margin + k * slit_pitch_px + (slit_pitch_px - slit_width_px) // 2
-            rois.append((x, band_y, slit_width_px, band_height))
-        env = _envelope_values(
-            rois, ref_index, envelope, envelope_width, n_slits, slit_pitch_px
-        )
+            x = (k + 1) * DISPLAY_SLIT_PITCH + (DISPLAY_SLIT_PITCH - DISPLAY_SLIT_WIDTH) // 2
+            rois.append((x, band_y, DISPLAY_SLIT_WIDTH, DEFAULT_BAND_HEIGHT))
+        env = _envelope_values(rois, ref_index, envelope, None, n_slits, DISPLAY_SLIT_PITCH)
         return cls(
             n_slits=n_slits,
             ref_index=ref_index,
-            slit_width_px=slit_width_px,
-            slit_pitch_px=slit_pitch_px,
-            image_dims=(image_height, width),
+            image_dims=(DEFAULT_IMAGE_HEIGHT, width),
             roi_layout=tuple(rois),
             ref_envelope=env,
             envelope_kind=envelope,
-            envelope_width=envelope_width,
         )
 
     def with_reference(self, ref_index: int) -> "OpticalConfig":
@@ -206,7 +195,6 @@ class OpticalConfig:
         return cls(
             n_slits=int(payload["n_slits"]),
             ref_index=int(payload["ref_index"]),
-            slit_width_px=int(payload.get("slit_width_px", DISPLAY_SLIT_WIDTH)),
             slit_pitch_px=int(payload.get("slit_pitch_px", DISPLAY_SLIT_PITCH)),
             image_dims=tuple(int(v) for v in payload["image_dims"]),
             roi_layout=tuple(tuple(int(v) for v in r) for r in payload["roi_layout"]),
@@ -348,10 +336,13 @@ def _dc_total(amps: np.ndarray, config: OpticalConfig) -> float:
 
 
 def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick=None):
-    """Render the wanted frames over the full image or over the ROI band only.
+    """Render the wanted frames over the ROI band, and embed them unless ``roi_band``.
 
-    Both pixel sets share the photon scale, which is fixed by the full image,
-    so a band pixel has the same expected count as the image pixel it packs.
+    The beams overlap only inside the ROIs, so a full frame is its band frame
+    over a closed-form background: |obj|^2 down the slit columns unless the
+    object is blocked, plus ref^2 across the band rows unless the reference
+    is.  The band draws from the first three children of ``seed`` and the
+    background's shot noise from the fourth, at the full image's photon scale.
 
     ``pick`` renders an adaptive acquisition in one pass: it maps the per-slit
     means of a frame 0 drawn at ``config``'s photon scale to the config that
@@ -366,20 +357,13 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick
         seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
     else:
         seed = np.random.SeedSequence(seed)
-    field_seq, jitter_seq, shot_seq = seed.spawn(3)
+    field_seq, jitter_seq, shot_seq, background_seq = seed.spawn(4)
 
-    # One row of each beam; the object fills every row, the reference only
-    # the rows of its band.  Neither the band nor the object depends on the
-    # reference slit.
+    # The object fills every band row; neither it nor the band geometry
+    # depends on the reference slit.
     band_obj = np.repeat(amps, geo.widths)
-    if roi_band:
-        obj_row, shape = band_obj, geo.band.image_dims
-    else:
-        obj_row = np.zeros(config.image_dims[1], dtype=np.complex128)
-        obj_row[geo.cols] = band_obj
-        shape = config.image_dims
-
-    obj = np.broadcast_to(obj_row, shape)
+    shape = geo.band.image_dims
+    obj = np.broadcast_to(band_obj, shape)
     sd = float(noise.phase_inhomogeneity_sd)
     if sd > 0.0:
         phase_field = np.random.default_rng(field_seq).normal(0.0, sd, shape)
@@ -393,25 +377,18 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick
 
     photons = float(noise.photons_per_frame)
 
-    def shots(cfg):
-        """Shot-noise draws on a fresh stream at ``cfg``'s photon scale."""
+    def shots(cfg, seq):
+        """Shot-noise draws on a fresh stream of ``seq`` at ``cfg``'s photon scale."""
         if photons <= 0.0:
             return lambda intensity: intensity
-        scale, rng = photons / _dc_total(amps, cfg), np.random.default_rng(shot_seq)
+        scale, rng = photons / _dc_total(amps, cfg), np.random.default_rng(seq)
         return lambda intensity: rng.poisson(scale * intensity + noise.dark_rate).astype(float)
 
     if pick is not None:
-        blocked = shots(config)(level)
-        seen = _geometry(geo.band) if roi_band else geo
-        config = pick(seen.per_slit_mean(blocked[seen.rows, seen.cols]))
+        config = pick(geo.per_slit_mean(shots(config, shot_seq)(level)))
         geo = _geometry(config)
-    draw = shots(config)
-    if roi_band:
-        out_config, ref_row, ref_rows = geo.band, geo.profile[geo.cols], slice(None)
-    else:
-        out_config, ref_row, ref_rows = config, geo.profile, geo.rows
-    ref = np.zeros(shape)
-    ref[ref_rows] = ref_row
+    draw = shots(config, shot_seq)
+    ref = np.broadcast_to(geo.profile[geo.cols], shape)
 
     frames = []
     for step in (*steps, CALIBRATION_STEP) if include_calibration else steps:
@@ -426,8 +403,24 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick
             # equal arg(c_k) rather than its negative.
             delta = np.pi / 2.0 * (step - 0.5) + jitter[step - 1]
             intensity = np.abs(obj + ref * np.exp(-1j * delta)) ** 2
-        frames.append(Interferogram(step, draw(intensity), out_config))
-    return frames
+        frames.append(Interferogram(step, draw(intensity), geo.band))
+    if roi_band:
+        return frames
+
+    obj_power = np.zeros(config.image_dims[1])
+    obj_power[geo.cols] = np.abs(band_obj) ** 2
+    background = shots(config, background_seq)
+    full = []
+    for frame in frames:
+        image = np.zeros(config.image_dims)
+        if frame.step_index != CALIBRATION_STEP:
+            image += obj_power
+        if frame.step_index != 0:
+            image[geo.rows] += geo.profile**2
+        image = background(image)
+        image[geo.rows, geo.cols] = frame.pixels
+        full.append(Interferogram(frame.step_index, image, config))
+    return full
 
 
 def render_frames(
@@ -447,11 +440,10 @@ def render_frames(
     full image, and the same static phase field; rendering is reproducible
     per (config, seed).
 
-    With ``roi_band`` only the ROI pixels are rendered, packed side by side
+    With ``roi_band`` only the ROI pixels are returned, packed side by side
     into an (ROI height, total ROI width) image whose config places ROI k at
-    its packed column offset.  Noiseless band pixels equal the ROI pixels of
-    the full render; noisy ones draw the phase field and shot noise over the
-    band alone, so they differ from the full render's ROI pixels.
+    its packed column offset: the ROI pixels of the full render with the same
+    seed, bit for bit, with or without noise.
     """
     return _render(psi, config, noise, seed, (0, 1, 2, 3), include_calibration, roi_band)
 

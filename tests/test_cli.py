@@ -268,3 +268,33 @@ def test_sweep_rejects_config_optics_with_wrong_slit_count(tmp_path):
         EXIT_CONFIG
     )
     assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "pipeline, bad",
+    [
+        ("outcomes", {"ref_envelope": [1.0, float("nan"), 0.5]}),
+        ("frames", {"envelope_width": 0.0}),
+        ("frames", {"envelope_width": float("nan")}),
+    ],
+    ids=["nan-envelope", "zero-width", "nan-width"],
+)
+def test_sweep_rejects_config_optics_with_invalid_envelope(tmp_path, pipeline, bad):
+    optical = OpticalConfig.for_dim(3)
+    block = {
+        "n_slits": optical.n_slits,
+        "ref_index": optical.ref_index,
+        "image_dims": list(optical.image_dims),
+        "roi_layout": [list(r) for r in optical.roi_layout],
+        "ref_envelope": list(optical.ref_envelope),
+        **bad,
+    }
+    cfg = {"dim": 3, "trials": 5, "pipeline": pipeline, "reference_mode": "fixed",
+           "optical": block}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--seed", "1", "--out-dir", str(out)]) == (
+        EXIT_CONFIG
+    )
+    assert not (out / "summary.json").exists()

@@ -313,3 +313,21 @@ def test_spec_rejects_optical_config_with_wrong_slit_count(mode, config):
     with pytest.raises(ValueError, match="slits"):
         spec_of(dim=3, pipeline="frames", reference_mode=mode, optical=optical)
 
+
+def test_spec_rejects_adaptive_run_on_custom_envelope_dark_at_a_slit():
+    """Slit 2 could become the reference of an adaptive trial, and a custom
+    envelope stays dark there, so the spec is refused up front."""
+    base = OpticalConfig.for_dim(3)
+    optical = OpticalConfig(
+        n_slits=3,
+        image_dims=base.image_dims,
+        roi_layout=base.roi_layout,
+        ref_envelope=(1.0, 0.5, 0.0),
+        envelope_kind="custom",
+    )
+    with pytest.raises(ValueError, match="custom envelope"):
+        spec_of(dim=3, pipeline="frames", reference_mode="adaptive", optical=optical)
+    # A fixed reference at slit 0 never needs slit 2's envelope to be positive.
+    spec = spec_of(dim=3, n=4, pipeline="frames", reference_mode="fixed", optical=optical)
+    assert run_batch(spec).n_trials == 4
+

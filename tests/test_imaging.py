@@ -26,8 +26,10 @@ from psitomo.imaging import (
     CALIBRATION_STEP,
     DISPLAY_PHASE_SD,
     _dc_total,
+    _render,
     annotate_rois,
 )
+from psitomo.reconstruct import choose_reference
 
 
 def flat_config(dim, **kw):
@@ -79,6 +81,38 @@ def test_config_rejects_envelope_outside_unit_interval():
             roi_layout=cfg.roi_layout,
             ref_envelope=(1.0, 1.5),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5])
+def test_config_rejects_nan_or_negative_envelope_entry(bad):
+    cfg = OpticalConfig.for_dim(3)
+    with pytest.raises(ValueError, match="envelope entries"):
+        OpticalConfig(
+            n_slits=3,
+            image_dims=cfg.image_dims,
+            roi_layout=cfg.roi_layout,
+            ref_envelope=(1.0, bad, 0.5),
+        )
+
+
+@pytest.mark.parametrize("width", [0.0, -3.0, np.nan, np.inf])
+def test_from_dict_rejects_envelope_width_that_is_not_finite_and_positive(width):
+    cfg = OpticalConfig.for_dim(3)
+    payload = {
+        "n_slits": 3,
+        "ref_index": 0,
+        "image_dims": list(cfg.image_dims),
+        "roi_layout": [list(r) for r in cfg.roi_layout],
+        "ref_envelope": list(cfg.ref_envelope),
+        "envelope_kind": "sinc",
+        "envelope_width": width,
+    }
+    with pytest.raises(ValueError, match="envelope_width"):
+        OpticalConfig.from_dict(payload)
+    # A slit_width_px key, like any key from_dict does not read, is ignored.
+    del payload["envelope_width"]
+    payload["slit_width_px"] = 10
+    assert OpticalConfig.from_dict(payload).with_reference(2).ref_envelope[2] == 1.0
 
 
 def test_with_reference_recenters_envelope():
@@ -253,6 +287,30 @@ def test_noiseless_band_frames_equal_full_frame_rois(dim, extra, envelope, calib
             assert np.array_equal(f.roi(k), b.roi(k))
     blocked = render_blocked_frame(psi, cfg, roi_band=True)
     assert np.array_equal(blocked.pixels, band[0].pixels)
+
+
+@pytest.mark.parametrize("calibration", [False, True])
+@pytest.mark.parametrize("envelope", ["sinc", "flat"])
+@pytest.mark.parametrize(
+    "dim, extra, adaptive", [(2, False, False), (5, True, False), (14, False, False), (6, False, True)]
+)
+def test_band_frames_are_full_frame_roi_crops(dim, extra, adaptive, envelope, calibration):
+    """Under bench noise with dark counts a band frame is the ROI crop of the
+    full frame with the same seed, also when the reference is picked inside
+    the render."""
+    psi = haar_random(dim, seed=90 + dim)
+    cfg = OpticalConfig.for_dim(dim, extra_reference=extra, envelope=envelope)
+    noise = NoiseModel(1e5, 0.1, DISPLAY_PHASE_SD, dark_rate=0.5)
+    seed = np.random.SeedSequence(dim).spawn(1)[0]
+    pick = (lambda means: cfg.with_reference(choose_reference(means))) if adaptive else None
+    full = _render(psi, cfg, noise, seed, (0, 1, 2, 3), calibration, False, pick)
+    band = _render(psi, cfg, noise, seed, (0, 1, 2, 3), calibration, True, pick)
+    assert [f.step_index for f in band] == [f.step_index for f in full]
+    for f, b in zip(full, band):
+        assert f.config.ref_index == b.config.ref_index
+        assert np.array_equal(band_pixels(f), b.pixels)
+    if adaptive:
+        assert full[0].config.ref_index != cfg.ref_index
 
 
 def test_band_config_is_the_packed_geometry():
