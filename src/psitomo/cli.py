@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,28 +53,45 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _noise_from_args(args) -> NoiseModel:
-    return NoiseModel(
-        photons_per_frame=args.photons,
-        phase_step_jitter_sd=args.jitter,
-        phase_inhomogeneity_sd=args.inhom,
-        dark_rate=args.dark,
-    )
+#: The noise flags of simulate and sweep: flag -> (NoiseModel field, help).
+NOISE_FLAGS = {
+    "--photons": ("photons_per_frame", "expected photons per frame (0 = noiseless)"),
+    "--jitter": ("phase_step_jitter_sd", "rms phase-step error in radians"),
+    "--inhom": ("phase_inhomogeneity_sd", "rms static per-pixel phase in radians"),
+    "--dark": ("dark_rate", "expected dark counts per pixel per frame"),
+}
+
+#: Every key a sweep --config file may set, and its value when neither the
+#: file nor a flag sets it; a "noise" block may set any NoiseModel field.
+SWEEP_DEFAULTS = {
+    "dim": 2,
+    "trials": 100,
+    "source": "haar",
+    "pipeline": "outcomes",
+    "reference_mode": "adaptive",
+    "noise": {field: 0.0 for field, _ in NOISE_FLAGS.values()},
+    "optical": None,
+}
 
 
 def _add_noise_args(parser) -> None:
-    parser.add_argument(
-        "--photons", type=float, default=0.0, help="expected photons per frame (0 = noiseless)"
-    )
-    parser.add_argument(
-        "--jitter", type=float, default=0.0, help="rms phase-step error in radians"
-    )
-    parser.add_argument(
-        "--inhom", type=float, default=0.0, help="rms static per-pixel phase in radians"
-    )
-    parser.add_argument(
-        "--dark", type=float, default=0.0, help="expected dark counts per pixel per frame"
-    )
+    for flag, (field, text) in NOISE_FLAGS.items():
+        parser.add_argument(flag, dest=field, type=float, metavar=flag[2:].upper(), help=text)
+
+
+def _given(args, keys) -> dict:
+    """The flags among ``keys`` given on the command line (the others are None)."""
+    return {key: value for key, value in vars(args).items() if key in keys and value is not None}
+
+
+def _merged(defaults: dict, given, where: str) -> dict:
+    """``defaults`` updated by ``given``; refuses keys ``defaults`` does not have."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; known: {sorted(defaults)}")
+    return {**defaults, **given}
 
 
 def cmd_simulate(args) -> int:
@@ -91,7 +107,7 @@ def cmd_simulate(args) -> int:
         psi = haar_random(args.dim, np.random.SeedSequence([args.seed, 0]))
 
     config = OpticalConfig.for_dim(psi.dim, extra_reference=args.extra_slit)
-    noise = _noise_from_args(args)
+    noise = NoiseModel(**_given(args, SWEEP_DEFAULTS["noise"]))
     frames = render_frames(
         psi, config, noise, args.seed, include_calibration=args.calibration
     )
@@ -140,50 +156,26 @@ def cmd_reconstruct(args) -> int:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    overrides = {}
+    """Merge the defaults, the --config file and the flags given, in that order."""
+    config = {}
     if args.config:
         with open(args.config) as fh:
-            overrides = json.load(fh)
-    dim = args.dim if args.dim is not None else int(overrides.get("dim", 2))
-    trials = args.trials if args.trials is not None else int(overrides.get("trials", 100))
-    source_kind = args.source or overrides.get("source", "haar")
-    pipeline = args.pipeline or overrides.get("pipeline", "outcomes")
-    ref_mode = args.ref_mode or overrides.get("reference_mode", "adaptive")
+            config = json.load(fh)
+    merged = {**_merged(SWEEP_DEFAULTS, config, "config"), **_given(args, SWEEP_DEFAULTS)}
+    noise = _merged(SWEEP_DEFAULTS["noise"], merged["noise"], "noise")
+    noise.update(_given(args, noise))
 
-    noise_cfg = dict(overrides.get("noise", {}))
-    noise = NoiseModel(
-        photons_per_frame=args.photons
-        if args.photons is not None
-        else float(noise_cfg.get("photons_per_frame", 0.0)),
-        phase_step_jitter_sd=args.jitter
-        if args.jitter is not None
-        else float(noise_cfg.get("phase_step_jitter_sd", 0.0)),
-        phase_inhomogeneity_sd=args.inhom
-        if args.inhom is not None
-        else float(noise_cfg.get("phase_inhomogeneity_sd", 0.0)),
-        dark_rate=args.dark
-        if args.dark is not None
-        else float(noise_cfg.get("dark_rate", 0.0)),
-    )
-    optical = None
-    if "optical" in overrides:
-        optical = OpticalConfig.from_dict(overrides["optical"])
-
-    if source_kind == "haar":
-        source = StateSource.haar(trials)
-    elif source_kind in ("bloch", "bloch_grid"):
-        source = StateSource.bloch(trials)
-    else:
-        raise ValueError(f"unknown source {source_kind!r}; use haar or bloch")
-
+    source = merged["source"]
+    if source not in ("haar", "bloch", "bloch_grid"):
+        raise ValueError(f"unknown source {source!r}; use haar or bloch")
     return ExperimentSpec(
-        dim=dim,
-        source=source,
+        dim=int(merged["dim"]),
+        source=StateSource("haar" if source == "haar" else "bloch_grid", int(merged["trials"])),
         root_seed=args.seed,
-        pipeline=pipeline,
-        reference_mode=ref_mode,
-        noise=noise,
-        optical=optical,
+        pipeline=merged["pipeline"],
+        reference_mode=merged["reference_mode"],
+        noise=NoiseModel(**{field: float(v) for field, v in noise.items()}),
+        optical=None if merged["optical"] is None else OpticalConfig.from_dict(merged["optical"]),
     )
 
 
@@ -200,24 +192,22 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _read_fidelity_rows(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"{path} holds no trial rows")
-    return rows
-
-
 def cmd_figure(args) -> int:
     out = _out_dir(args)
-    rows = _read_fidelity_rows(args.csv)
+    with open(args.csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValueError(f"{args.csv} holds no trial rows")
     fids = [float(r["fidelity"]) for r in rows]
     if args.mode == "hist":
         svg = histogram_figure(fids)
     else:
-        dims = {r["dim"] for r in rows}
-        if dims != {"2"}:
-            raise ValueError("bloch figures need a dim-2 sweep")
+        # Row i is trial i of the lattice only in a whole dim-2 Bloch sweep.
+        with open(Path(args.csv).with_name("summary.json")) as fh:
+            summary = json.load(fh)
+        made = [summary.get(key) for key in ("source", "dim", "n_trials")]
+        if made != ["bloch_grid", 2, len(rows)]:
+            raise ValueError(f"bloch figures need a whole dim-2 bloch sweep, not {made}")
         states = bloch_grid(len(rows))
         mean = float(np.mean(fids))
         std = float(np.std(fids))
@@ -260,17 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--trials", type=int, default=None)
     swp.add_argument("--source", choices=("haar", "bloch"), default=None)
     swp.add_argument("--pipeline", choices=("outcomes", "frames"), default=None)
-    swp.add_argument("--ref-mode", choices=("fixed", "adaptive", "extra_slit"), default=None)
+    swp.add_argument("--ref-mode", dest="reference_mode", choices=("fixed", "adaptive", "extra_slit"))
     swp.add_argument("--seed", type=int, required=True, help="batch root seed")
     swp.add_argument(
         "--workers", type=int, default=1,
         help="accepted for compatibility; every sweep runs in one thread",
     )
     swp.add_argument("--out-dir", default=None)
-    swp.add_argument("--photons", type=float, default=None)
-    swp.add_argument("--jitter", type=float, default=None)
-    swp.add_argument("--inhom", type=float, default=None)
-    swp.add_argument("--dark", type=float, default=None)
+    _add_noise_args(swp)
     swp.set_defaults(func=cmd_sweep)
 
     fig = sub.add_parser("figure", help="render an SVG figure from a sweep CSV")

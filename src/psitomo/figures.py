@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .harness import _histogram_edges
 from .states import PureState, bloch_vector
 
 # Five-stop blue-to-yellow ramp, interpolated linearly in RGB.
@@ -87,10 +88,7 @@ def histogram_figure(fidelities, bins: int = 20) -> str:
     fids = np.asarray(fidelities, dtype=float)
     if fids.size == 0:
         raise ValueError("need at least one fidelity")
-    lo = float(fids.min())
-    if lo >= 1.0:
-        lo = 1.0 - 1e-9
-    edges = np.linspace(lo, 1.0, bins + 1)
+    edges = _histogram_edges(fids, bins)
     counts, _ = np.histogram(fids, bins=edges)
     peak = max(int(counts.max()), 1)
 
@@ -118,7 +116,7 @@ def histogram_figure(fidelities, bins: int = 20) -> str:
             f'height="{h:.2f}" fill="#4472a8" stroke="white" stroke-width="0.5"/>'
         )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        value = lo + frac * (1.0 - lo)
+        value = edges[0] + frac * (1.0 - edges[0])
         x = left + frac * plot_w
         body.append(
             f'<text x="{x:.2f}" y="{top + plot_h + 18}" font-family="monospace" '

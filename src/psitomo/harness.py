@@ -320,11 +320,12 @@ def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
     )
 
 
-def _histogram_edges(fids: np.ndarray) -> tuple[float, ...]:
-    lo = float(fids.min()) if fids.size else 0.0
+def _histogram_edges(fids: np.ndarray, bins: int = HISTOGRAM_BINS) -> tuple[float, ...]:
+    """Equal bins over [min F, 1]; over [1 - 1e-9, 1] when every F is 1."""
+    lo = float(fids.min())
     if lo >= 1.0:
         lo = 1.0 - 1e-9
-    return tuple(float(x) for x in np.linspace(lo, 1.0, HISTOGRAM_BINS + 1))
+    return tuple(float(x) for x in np.linspace(lo, 1.0, bins + 1))
 
 
 def write_trials_csv(path, stats: SummaryStats) -> None:

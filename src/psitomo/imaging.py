@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigMismatch
+from .projectors import STEP_PHASES
 from .states import PureState
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
@@ -90,13 +91,14 @@ class OpticalConfig:
     """Geometry of the rendered image and of its measurement ROIs.
 
     ``ref_envelope`` holds the real amplitude of the reference band at each
-    slit position, normalized to 1 at its peak; a sinc profile models the
-    finite diffraction envelope of the filtered reference slit.
+    slit position, normalized to 1 at its peak.  A ``sinc`` or ``flat``
+    envelope follows from the ROI layout, ``ref_index`` and
+    ``envelope_width``: it is filled in when omitted and refused when it
+    differs; a ``custom`` one is taken as given.
     """
 
     n_slits: int
     ref_index: int = 0
-    slit_pitch_px: int = DISPLAY_SLIT_PITCH
     image_dims: tuple[int, int] = (0, 0)  # (height, width); filled by for_dim
     roi_layout: tuple[tuple[int, int, int, int], ...] = ()
     ref_envelope: tuple[float, ...] = ()
@@ -108,8 +110,6 @@ class OpticalConfig:
             raise ValueError("need at least two slits")
         if not 0 <= self.ref_index < self.n_slits:
             raise ValueError(f"ref_index {self.ref_index} outside 0..{self.n_slits - 1}")
-        if self.slit_pitch_px <= 0:
-            raise ValueError("slit pitch must be positive")
         if self.envelope_kind not in ENVELOPE_KINDS:
             raise ValueError(f"envelope_kind must be one of {ENVELOPE_KINDS}")
         height, width = self.image_dims
@@ -117,16 +117,8 @@ class OpticalConfig:
             raise ValueError("image dimensions must be positive")
         if len(self.roi_layout) != self.n_slits:
             raise ValueError("need exactly one ROI per slit")
-        if len(self.ref_envelope) != self.n_slits:
-            raise ValueError("need exactly one envelope value per slit")
-        env = np.asarray(self.ref_envelope, dtype=float)
-        # Written so that NaN fails the tests too.
-        if not np.all((env >= 0.0) & (env <= 1.0)):
-            raise ValueError("envelope entries must lie in [0, 1]")
         if self.envelope_width is not None and not 0.0 < float(self.envelope_width) < np.inf:
             raise ValueError("envelope_width must be None or finite and positive")
-        if env[self.ref_index] <= 0.0:
-            raise ValueError("envelope must be positive at the reference slit")
         spans = []
         for x, y, w, h in self.roi_layout:
             if w <= 0 or h <= 0:
@@ -139,6 +131,28 @@ class OpticalConfig:
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
             if b0 < a1:
                 raise ValueError("ROIs must ascend in x and must not overlap")
+        declared = tuple(self.ref_envelope)
+        derived = declared if self.envelope_kind == "custom" else _envelope_values(self)
+        object.__setattr__(self, "ref_envelope", declared or derived)
+        if len(self.ref_envelope) != self.n_slits:
+            raise ValueError("need exactly one envelope value per slit")
+        env = np.asarray(self.ref_envelope, dtype=float)
+        # Written so that NaN fails the tests too.
+        if not np.all((env >= 0.0) & (env <= 1.0)):
+            raise ValueError("envelope entries must lie in [0, 1]")
+        if self.ref_envelope != derived:
+            raise ValueError(
+                f"ref_envelope {declared} is not the {self.envelope_kind} envelope {derived} "
+                "of this ROI layout; omit it, or declare envelope_kind custom"
+            )
+        if env[self.ref_index] <= 0.0:
+            raise ValueError("envelope must be positive at the reference slit")
+
+    @property
+    def slit_pitch_px(self) -> float:
+        """Mean spacing of the ROI centres, in pixels."""
+        centers = [x + w / 2.0 for x, _, w, _ in self.roi_layout]
+        return (centers[-1] - centers[0]) / (self.n_slits - 1)
 
     @classmethod
     def for_dim(
@@ -157,63 +171,47 @@ class OpticalConfig:
         if dim < 2:
             raise ValueError("qudit dimension must be at least 2")
         n_slits = dim + 1 if extra_reference else dim
-        ref_index = dim if extra_reference else 0
         width = (n_slits + 2) * DISPLAY_SLIT_PITCH  # one pitch of margin on each side
         band_y = (DEFAULT_IMAGE_HEIGHT - DEFAULT_BAND_HEIGHT) // 2
         rois = []
         for k in range(n_slits):
             x = (k + 1) * DISPLAY_SLIT_PITCH + (DISPLAY_SLIT_PITCH - DISPLAY_SLIT_WIDTH) // 2
             rois.append((x, band_y, DISPLAY_SLIT_WIDTH, DEFAULT_BAND_HEIGHT))
-        env = _envelope_values(rois, ref_index, envelope, None, n_slits, DISPLAY_SLIT_PITCH)
         return cls(
             n_slits=n_slits,
-            ref_index=ref_index,
+            ref_index=dim if extra_reference else 0,
             image_dims=(DEFAULT_IMAGE_HEIGHT, width),
             roi_layout=tuple(rois),
-            ref_envelope=env,
             envelope_kind=envelope,
         )
 
     def with_reference(self, ref_index: int) -> "OpticalConfig":
         """Move the reference pick-off to another slit, recentering the envelope."""
-        if not 0 <= ref_index < self.n_slits:
-            raise ValueError(f"ref_index {ref_index} outside 0..{self.n_slits - 1}")
-        if self.envelope_kind == "custom":
-            return replace(self, ref_index=ref_index)
-        env = _envelope_values(
-            self.roi_layout,
-            ref_index,
-            self.envelope_kind,
-            self.envelope_width,
-            self.n_slits,
-            self.slit_pitch_px,
-        )
+        env = self.ref_envelope if self.envelope_kind == "custom" else ()
         return replace(self, ref_index=ref_index, ref_envelope=env)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OpticalConfig":
+        """Config from a JSON object; keys the config does not read are ignored."""
         return cls(
             n_slits=int(payload["n_slits"]),
             ref_index=int(payload["ref_index"]),
-            slit_pitch_px=int(payload.get("slit_pitch_px", DISPLAY_SLIT_PITCH)),
             image_dims=tuple(int(v) for v in payload["image_dims"]),
             roi_layout=tuple(tuple(int(v) for v in r) for r in payload["roi_layout"]),
-            ref_envelope=tuple(float(v) for v in payload["ref_envelope"]),
+            ref_envelope=tuple(float(v) for v in payload.get("ref_envelope", ())),
             envelope_kind=str(payload.get("envelope_kind", "custom")),
             envelope_width=payload.get("envelope_width"),
         )
 
 
-def _envelope_values(rois, ref_index, kind, width, n_slits, pitch):
-    if kind == "flat":
-        return tuple(1.0 for _ in range(n_slits))
-    if kind != "sinc":
-        raise ValueError("custom envelopes must be passed explicitly")
-    centers = np.array([x + w / 2.0 for x, _, w, _ in rois])
+def _envelope_values(config: OpticalConfig) -> tuple[float, ...]:
+    """The sinc or flat reference envelope that ``config``'s ROI layout implies."""
+    if config.envelope_kind == "flat":
+        return tuple(1.0 for _ in range(config.n_slits))
+    centers = np.array([x + w / 2.0 for x, _, w, _ in config.roi_layout])
     # Default width keeps every slit inside the central diffraction lobe.
-    if width is None:
-        width = 2.0 * n_slits * pitch
-    vals = np.sinc((centers - centers[ref_index]) / float(width))
+    width = config.envelope_width or 2.0 * config.n_slits * config.slit_pitch_px
+    vals = np.sinc((centers - centers[config.ref_index]) / float(width))
     # A slit beyond the first zero would see a sign flip; clamp it dark
     # instead of rendering an unphysical negative amplitude.
     return tuple(float(v) for v in np.clip(vals, 0.0, 1.0))
@@ -401,7 +399,7 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick
             # piezo step lengthens its path, multiplying the reference field
             # by e^{-i delta}.  This sign makes the recovered fringe phase
             # equal arg(c_k) rather than its negative.
-            delta = np.pi / 2.0 * (step - 0.5) + jitter[step - 1]
+            delta = STEP_PHASES[step - 1] + jitter[step - 1]
             intensity = np.abs(obj + ref * np.exp(-1j * delta)) ** 2
         frames.append(Interferogram(step, draw(intensity), geo.band))
     if roi_band:

@@ -98,19 +98,10 @@ def load_frames(directory) -> list[Interferogram]:
             raise FileNotFoundError(f"missing sidecar {sidecar_path}")
         with open(sidecar_path) as fh:
             meta = json.load(fh)
-        config = _config_from_sidecar(meta)
+        # A sidecar records no envelope, and reconstruction reads none.
+        config = OpticalConfig.from_dict(
+            {**meta, "roi_layout": meta["roi"], "envelope_kind": "flat"}
+        )
         pixels = read_pgm(pgm_path)
         frames.append(Interferogram(int(meta["step"]), pixels, config))
     return frames
-
-
-def _config_from_sidecar(meta: dict) -> OpticalConfig:
-    n_slits = int(meta["n_slits"])
-    return OpticalConfig(
-        n_slits=n_slits,
-        ref_index=int(meta["ref_index"]),
-        image_dims=tuple(int(v) for v in meta["image_dims"]),
-        roi_layout=tuple(tuple(int(v) for v in r) for r in meta["roi"]),
-        ref_envelope=tuple(1.0 for _ in range(n_slits)),
-        envelope_kind="flat",
-    )

@@ -218,6 +218,25 @@ def test_figure_modes_and_determinism(tmp_path):
         assert (out / f1).read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "sweep, rows_kept",
+    [(["--source", "haar"], 16), (["--source", "bloch"], 15)],
+    ids=["haar-source", "rows-dropped"],
+)
+def test_figure_bloch_needs_the_whole_bloch_sweep(tmp_path, sweep, rows_kept):
+    """The markers sit at the lattice points of trials 0..n-1, so the CSV must
+    be every row of a Bloch-lattice sweep, as its summary.json says."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dim", "2", "--trials", "16", "--seed", "1", *sweep,
+                 "--out-dir", str(out)]) == EXIT_OK
+    csv_path = out / "trials.csv"
+    lines = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text("".join(lines[: 1 + rows_kept]))
+    code = main(["figure", "--mode", "bloch", "--csv", str(csv_path), "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert not (out / "figure.svg").exists()
+
+
 def test_figure_bloch_rejects_higher_dims(tmp_path):
     out = tmp_path / "sweep"
     assert (
@@ -298,3 +317,51 @@ def test_sweep_rejects_config_optics_with_invalid_envelope(tmp_path, pipeline, b
         EXIT_CONFIG
     )
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"noise": {"photons": 1e5, "jitter": 0.1}},
+        {"noise": {"photons_per_frame": 1e5}, "tau": 0.0},
+        {"noise": [1e5]},
+        [3, 5],
+    ],
+    ids=["noise-keys", "top-level-key", "noise-not-object", "config-not-object"],
+)
+def test_sweep_rejects_unknown_config_keys(tmp_path, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--seed", "1", "--out-dir", str(out)]) == (
+        EXIT_CONFIG
+    )
+    assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("declared, code", [([1.0, 1.0, 1.0], EXIT_CONFIG), (None, EXIT_OK)])
+def test_sweep_config_optics_envelope_follows_roi_spacing(tmp_path, declared, code):
+    """ROIs 200 px apart: a sinc envelope of (1, 1, 1) is not the one this
+    layout gives, and without a declared envelope every slit stays lit, so
+    noiseless adaptive frames trials all reconstruct."""
+    block = {
+        "n_slits": 3,
+        "ref_index": 0,
+        "image_dims": [128, 700],
+        "roi_layout": [[100, 56, 10, 16], [300, 56, 10, 16], [500, 56, 10, 16]],
+        "envelope_kind": "sinc",
+    }
+    if declared is not None:
+        block["ref_envelope"] = declared
+    cfg = {"dim": 3, "trials": 6, "pipeline": "frames", "reference_mode": "adaptive",
+           "optical": block}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--seed", "1", "--out-dir", str(out)]) == code
+    if code == EXIT_CONFIG:
+        assert not (out / "summary.json").exists()
+    else:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_failed"] == 0
+        assert summary["mean_fidelity"] > 1.0 - 1e-9

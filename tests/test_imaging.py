@@ -115,6 +115,43 @@ def test_from_dict_rejects_envelope_width_that_is_not_finite_and_positive(width)
     assert OpticalConfig.from_dict(payload).with_reference(2).ref_envelope[2] == 1.0
 
 
+#: Three slits whose ROI centres lie 200 px apart, as a sweep --config gives them.
+WIDE_SLITS = {
+    "n_slits": 3,
+    "ref_index": 0,
+    "image_dims": [128, 700],
+    "roi_layout": [[100, 56, 10, 16], [300, 56, 10, 16], [500, 56, 10, 16]],
+    "envelope_kind": "sinc",
+}
+
+
+def test_sinc_envelope_follows_the_roi_spacing():
+    cfg = OpticalConfig.from_dict(WIDE_SLITS)
+    assert cfg.slit_pitch_px == 200.0
+    for r in range(3):
+        env = cfg.with_reference(r).ref_envelope
+        assert env[r] == 1.0
+        assert min(env) > 0.8  # sinc(400 / 1200) at the far slit
+    with pytest.raises(TypeError):
+        OpticalConfig(n_slits=2, image_dims=(8, 8), roi_layout=(), slit_pitch_px=30)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**WIDE_SLITS, "ref_envelope": [1.0, 1.0, 1.0]},
+        {**WIDE_SLITS, "envelope_kind": "flat", "ref_envelope": [1.0, 0.5, 1.0]},
+    ],
+    ids=["sinc", "flat"],
+)
+def test_config_refuses_envelope_its_layout_does_not_give(payload):
+    with pytest.raises(ValueError, match="envelope .* of this ROI layout"):
+        OpticalConfig.from_dict(payload)
+    # The envelope the layout gives is accepted as declared.
+    derived = OpticalConfig.from_dict({k: v for k, v in payload.items() if k != "ref_envelope"})
+    assert OpticalConfig.from_dict({**payload, "ref_envelope": list(derived.ref_envelope)}) == derived
+
+
 def test_with_reference_recenters_envelope():
     cfg = OpticalConfig.for_dim(5)
     moved = cfg.with_reference(3)
