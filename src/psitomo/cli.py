@@ -205,6 +205,8 @@ def cmd_figure(args) -> int:
         # Row i is trial i of the lattice only in a whole dim-2 Bloch sweep.
         with open(Path(args.csv).with_name("summary.json")) as fh:
             summary = json.load(fh)
+        if not isinstance(summary, dict):
+            raise ValueError("the summary.json beside the CSV must hold a JSON object")
         made = [summary.get(key) for key in ("source", "dim", "n_trials")]
         if made != ["bloch_grid", 2, len(rows)]:
             raise ValueError(f"bloch figures need a whole dim-2 bloch sweep, not {made}")
@@ -281,7 +283,7 @@ def main(argv=None) -> int:
     except DegenerateFringe as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (TomographyError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (TomographyError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

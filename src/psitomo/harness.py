@@ -76,7 +76,8 @@ class StateSource:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything that defines one batch."""
+    """Everything that defines one batch.  ``optics``, derived and not a field,
+    is the run's optical config: ``optical``, or else for_dim's for the mode."""
 
     dim: int
     source: StateSource
@@ -100,16 +101,20 @@ class ExperimentSpec:
         # Written so that NaN fails the test too.
         if not 0.0 <= float(self.tau_purity) < math.inf:
             raise ValueError("tau_purity must be finite and non-negative")
-        slits = self.dim + int(self.reference_mode == "extra_slit")
-        if self.optical is not None and self.optical.n_slits != slits:
-            raise ValueError(
-                f"optical config has {self.optical.n_slits} slits; "
-                f"a {self.reference_mode} run at dim {self.dim} needs {slits}"
-            )
+        # for_dim alone sets each mode's slit count and fixed reference slit.
+        adaptive = self.reference_mode == "adaptive"
+        layout = OpticalConfig.for_dim(
+            self.dim, extra_reference=self.reference_mode == "extra_slit")
+        object.__setattr__(self, "optics", self.optical or layout)
+        have, need = [(c.n_slits, "any" if adaptive else c.ref_index)
+                      for c in (self.optics, layout)]
+        if have != need:
+            raise ValueError(f"optical config has (slits, reference slit) {have}; a "
+                             f"{self.reference_mode} run at dim {self.dim} needs {need}")
         # Any slit may become an adaptive run's reference, and only a custom
         # envelope is not recentered on it.
-        custom = self.optical is not None and self.optical.envelope_kind == "custom"
-        if self.reference_mode == "adaptive" and custom and min(self.optical.ref_envelope) <= 0:
+        custom = self.optics.envelope_kind == "custom"
+        if adaptive and custom and min(self.optics.ref_envelope) <= 0:
             raise ValueError("an adaptive run needs a custom envelope positive at every slit")
 
 
@@ -187,16 +192,15 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
     for the whole run at once.
     """
     photons = float(spec.noise.photons_per_frame)
-    extra = spec.reference_mode == "extra_slit"
-    amps = np.array([_object_amplitudes(psi, spec.dim + int(extra)) for psi in states])
-    if extra:
+    amps = np.array([_object_amplitudes(psi, spec.optics.n_slits) for psi in states])
+    if spec.optics.n_slits > spec.dim:
         amps = amps / math.sqrt(2.0)
     pops = np.abs(amps) ** 2
     rngs = [np.random.default_rng(np.random.SeedSequence(int(s))) for s in seeds]
     measured = pops
     if photons > 0.0:
         measured = np.array([g.poisson(p * photons) for g, p in zip(rngs, pops)], dtype=float)
-    ref = np.full(len(states), spec.dim if extra else 0)
+    ref = np.full(len(states), spec.optics.ref_index)
     lit = measured.max(axis=1) > 0.0
     if spec.reference_mode == "adaptive":
         # choose_reference row by row: the first strongest population.
@@ -224,22 +228,20 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
 def _frames_run(states, spec: ExperimentSpec, seeds):
     """Frames trials of a run of states, as one report-returning call per trial.
 
-    The optical config is resolved once per run.  Reconstruction reads only
+    Every trial renders through ``spec.optics``.  Reconstruction reads only
     ROI pixels, so each trial renders the ROI band once, from the first child
     of SeedSequence(seed).  An adaptive trial chooses its reference inside
     that render from frame 0's per-slit means and takes the reference's
     config from a per-run table, so the phase field, the step jitter and the
     config are not built twice.
     """
-    extra = spec.reference_mode == "extra_slit"
-    config = spec.optical or OpticalConfig.for_dim(spec.dim, extra_reference=extra)
-    table = lru_cache(maxsize=None)(config.with_reference)  # built as references occur
+    table = lru_cache(maxsize=None)(spec.optics.with_reference)  # built as references occur
     adaptive = spec.reference_mode == "adaptive"
     pick = (lambda means: table(choose_reference(means))) if adaptive else None
 
     def trial(j):
         render_seed = np.random.SeedSequence(int(seeds[j])).spawn(1)[0]
-        frames = _render(states[j], config, spec.noise, render_seed, (0, 1, 2, 3),
+        frames = _render(states[j], spec.optics, spec.noise, render_seed, (0, 1, 2, 3),
                          spec.calibration_frame, True, pick)
         calibration = frames[4] if spec.calibration_frame else None
         return reconstruct_from_frames(frames[:4], calibration, tau=spec.tau_purity)
@@ -282,7 +284,7 @@ def _record(psi: PureState, spec: ExperimentSpec, seed, index, outcome) -> Trial
         return TrialResult(**known, fidelity=0.0, pure=False, reference_used=-1,
                            outcome_budget=0, error=type(outcome).__name__, recon_state=None)
     recon = outcome.state
-    if spec.reference_mode == "extra_slit":
+    if recon.dim > psi.dim:  # drop the appended reference slit
         recon = normalize(recon.amps[: psi.dim])
     return TrialResult(**known, fidelity=fidelity(psi, recon), pure=outcome.purity_verdict.pure,
                        reference_used=outcome.reference_used,
@@ -321,10 +323,8 @@ def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
 
 
 def _histogram_edges(fids: np.ndarray, bins: int = HISTOGRAM_BINS) -> tuple[float, ...]:
-    """Equal bins over [min F, 1]; over [1 - 1e-9, 1] when every F is 1."""
-    lo = float(fids.min())
-    if lo >= 1.0:
-        lo = 1.0 - 1e-9
+    """Equal bins over [min F, 1], spanning at least 1e-9 so rounding cannot split them."""
+    lo = min(float(fids.min()), 1.0 - 1e-9)
     return tuple(float(x) for x in np.linspace(lo, 1.0, bins + 1))
 
 

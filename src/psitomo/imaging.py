@@ -17,7 +17,7 @@ the reference and records the bare slit populations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,15 +57,10 @@ class NoiseModel:
     dark_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "photons_per_frame",
-            "phase_step_jitter_sd",
-            "phase_inhomogeneity_sd",
-            "dark_rate",
-        ):
+        for f in fields(self):
             # Written so that NaN fails the test too.
-            if not 0.0 <= float(getattr(self, name)) < np.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
+            if not 0.0 <= float(getattr(self, f.name)) < np.inf:
+                raise ValueError(f"{f.name} must be finite and non-negative")
 
     def with_photons(self, photons_per_frame: float) -> "NoiseModel":
         return replace(self, photons_per_frame=photons_per_frame)

@@ -365,3 +365,103 @@ def test_sweep_config_optics_envelope_follows_roi_spacing(tmp_path, declared, co
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_failed"] == 0
         assert summary["mean_fidelity"] > 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("pipeline", ["outcomes", "frames"])
+@pytest.mark.parametrize(
+    "mode, optics",
+    [
+        ("fixed", OpticalConfig.for_dim(3).with_reference(2)),
+        ("extra_slit", OpticalConfig.for_dim(3, extra_reference=True).with_reference(0)),
+    ],
+    ids=["fixed-reference-2", "extra_slit-reference-0"],
+)
+def test_sweep_rejects_config_optics_whose_reference_contradicts_the_mode(
+    tmp_path, pipeline, mode, optics
+):
+    block = {
+        "n_slits": optics.n_slits,
+        "ref_index": optics.ref_index,
+        "image_dims": list(optics.image_dims),
+        "roi_layout": [list(r) for r in optics.roi_layout],
+        "envelope_kind": optics.envelope_kind,
+    }
+    cfg = {"dim": 3, "trials": 4, "pipeline": pipeline, "reference_mode": mode, "optical": block}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--seed", "1", "--out-dir", str(out)]) == (
+        EXIT_CONFIG
+    )
+    assert not (out / "trials.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
+def _state_file(where, text):
+    (where / "in.json").write_text(text)
+    return ["simulate", "--state-file", str(where / "in.json"), "--seed", "1"]
+
+
+def _outcomes_file(where, text):
+    (where / "in.json").write_text(text)
+    return ["reconstruct", "--outcomes", str(where / "in.json")]
+
+
+def _sweep_config(where, text):
+    (where / "in.json").write_text(text)
+    return ["sweep", "--config", str(where / "in.json"), "--seed", "1"]
+
+
+def _frame_sidecar(where, text):
+    frames = render_frames(haar_random(2, seed=1), OpticalConfig.for_dim(2), seed=1)
+    save_frames(where, frames, seed=1)
+    (where / "frame_2.json").write_text(text)
+    return ["reconstruct", "--frames-dir", str(where)]
+
+
+def _bloch_summary(where, text):
+    assert main(["sweep", "--dim", "2", "--source", "bloch", "--trials", "4", "--seed", "1",
+                 "--out-dir", str(where)]) == EXIT_OK
+    (where / "summary.json").write_text(text)
+    return ["figure", "--mode", "bloch", "--csv", str(where / "trials.csv")]
+
+
+@pytest.mark.parametrize(
+    "write, text",
+    [
+        (_state_file, "[1]"),
+        (_state_file, '{"dim": 2, "re": {"0": 1}, "im": [0, 0]}'),
+        (_outcomes_file, "[1]"),
+        (_outcomes_file, '{"dim": [2], "ref_index": 0, "populations": [1, 0], '
+                         '"interference": [[0.5, 0.5, 0.5]]}'),
+        (_sweep_config, "[3, 5]"),
+        (_sweep_config, '{"dim": [3]}'),
+        (_sweep_config, '{"trials": {"n": 3}}'),
+        (_sweep_config, '{"noise": [1e5]}'),
+        (_sweep_config, '{"noise": {"photons_per_frame": [1]}}'),
+        (_sweep_config, '{"optical": [1, 2]}'),
+        (_sweep_config, '{"optical": {"n_slits": [3]}}'),
+        (_sweep_config, "{"),
+        (_frame_sidecar, "[1]"),
+        (_frame_sidecar, '{"step": 2, "n_slits": 2, "ref_index": 0, "image_dims": [128, 120], '
+                         '"roi": 3}'),
+        (_bloch_summary, "[1]"),
+    ],
+    ids=["state-list", "state-re-object", "outcomes-list", "outcomes-dim-list", "config-list",
+         "config-dim-list", "config-trials-object", "noise-list", "noise-value-list",
+         "optical-list", "optical-slits-list", "config-truncated", "sidecar-list",
+         "sidecar-roi-number", "summary-list"],
+)
+def test_json_input_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, write, text):
+    """Every JSON file the CLI reads: a value of the wrong shape exits 2 with
+    an error line, not a traceback, and writes no output."""
+    given = tmp_path / "given"
+    given.mkdir()
+    argv = write(given, text)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())

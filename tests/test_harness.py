@@ -1,6 +1,7 @@
 """Batch runner, seeding, calibration, and report writer tests."""
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,17 @@ def test_batch_statistics_noiseless():
     assert len(stats.hist_edges) == len(stats.hist_counts) + 1
 
 
+def test_noiseless_histogram_is_not_split_by_rounding():
+    """Noiseless fidelities land within an ulp or two of 1; they all share
+    the top bin of a range at least 1e-9 wide."""
+    spec = ExperimentSpec(dim=2, source=StateSource.bloch(32), root_seed=1,
+                          reference_mode="fixed")
+    stats = run_batch(spec)
+    assert min(t.fidelity for t in stats.trials) < 1.0
+    assert stats.hist_edges[0] <= 1.0 - 1e-9
+    assert stats.hist_counts[-1] == 32
+
+
 # ------------------------------------------------------------ writers
 
 
@@ -331,3 +343,38 @@ def test_spec_rejects_adaptive_run_on_custom_envelope_dark_at_a_slit():
     spec = spec_of(dim=3, n=4, pipeline="frames", reference_mode="fixed", optical=optical)
     assert run_batch(spec).n_trials == 4
 
+
+@pytest.mark.parametrize("pipeline", ["outcomes", "frames"])
+@pytest.mark.parametrize(
+    "mode, optical",
+    [
+        ("fixed", OpticalConfig.for_dim(3).with_reference(2)),
+        ("extra_slit", OpticalConfig.for_dim(3, extra_reference=True).with_reference(0)),
+    ],
+    ids=["fixed-reference-2", "extra_slit-reference-0"],
+)
+def test_spec_rejects_optics_whose_reference_slit_contradicts_the_mode(pipeline, mode, optical):
+    """Fixed runs anchor on slit 0 and extra_slit runs on the appended slit d,
+    in both pipelines, so optics that say otherwise are refused."""
+    with pytest.raises(ValueError, match="reference slit"):
+        spec_of(dim=3, pipeline=pipeline, reference_mode=mode, optical=optical)
+
+
+@pytest.mark.parametrize("pipeline", ["outcomes", "frames"])
+def test_adaptive_spec_accepts_optics_with_any_reference_slit(pipeline):
+    optical = OpticalConfig.for_dim(3).with_reference(2)
+    spec = spec_of(dim=3, n=4, pipeline=pipeline, reference_mode="adaptive", optical=optical)
+    assert spec.optics is optical
+    assert run_batch(spec).n_failed == 0
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive", "extra_slit"])
+def test_spec_optics_default_to_the_layout_of_the_mode(mode):
+    """optics is derived, not a field: equality and replace see only fields,
+    and replace derives the optics of the new dimension."""
+    spec = spec_of(dim=3, reference_mode=mode)
+    extra = mode == "extra_slit"
+    assert spec.optics == OpticalConfig.for_dim(3, extra_reference=extra)
+    assert "optics" not in {f.name for f in fields(ExperimentSpec)}
+    assert spec == spec_of(dim=3, reference_mode=mode)
+    assert replace(spec, dim=5).optics == OpticalConfig.for_dim(5, extra_reference=extra)
