@@ -15,6 +15,7 @@ from .harness import (
     SummaryStats,
     TrialResult,
     calibrate_noise,
+    chunk_seed,
     generate_states,
     run_batch,
     run_trial,

@@ -33,7 +33,7 @@ from .imaging import (
     annotate_rois,
     render_frames,
 )
-from .pgmio import PGM_MAXVAL, load_frames, save_frames, write_pgm
+from .pgmio import PGM_MAXVAL, load_frames, read_json, save_frames, write_pgm
 from .projectors import ProjectorOutcomes
 from .reconstruct import reconstruct_from_frames, reconstruct_from_outcomes
 from .states import PureState, bloch_grid, haar_random
@@ -97,8 +97,7 @@ def _merged(defaults: dict, given, where: str) -> dict:
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     if args.state_file:
-        with open(args.state_file) as fh:
-            psi = PureState.from_dict(json.load(fh))
+        psi = read_json(args.state_file, PureState.from_dict)
         if args.dim is not None and psi.dim != args.dim:
             raise ValueError("--dim disagrees with the state file")
     else:
@@ -130,18 +129,11 @@ def cmd_reconstruct(args) -> int:
         raise ValueError("pass exactly one of --frames-dir or --outcomes")
     if args.frames_dir:
         frames = load_frames(args.frames_dir)
-        calibration = None
-        main = []
-        for f in frames:
-            if f.step_index == CALIBRATION_STEP:
-                calibration = f
-            else:
-                main.append(f)
+        main = [f for f in frames if f.step_index != CALIBRATION_STEP]
+        calibration = next((f for f in frames if f.step_index == CALIBRATION_STEP), None)
         report = reconstruct_from_frames(main, calibration)
     else:
-        with open(args.outcomes) as fh:
-            outcomes = ProjectorOutcomes.from_dict(json.load(fh))
-        report = reconstruct_from_outcomes(outcomes)
+        report = reconstruct_from_outcomes(read_json(args.outcomes, ProjectorOutcomes.from_dict))
 
     report_path = out / args.report
     with open(report_path, "w") as fh:
@@ -155,12 +147,8 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    """Merge the defaults, the --config file and the flags given, in that order."""
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+def _spec_from_args(args, config: dict) -> ExperimentSpec:
+    """Merge the defaults, the --config object and the flags given, in that order."""
     merged = {**_merged(SWEEP_DEFAULTS, config, "config"), **_given(args, SWEEP_DEFAULTS)}
     noise = _merged(SWEEP_DEFAULTS["noise"], merged["noise"], "noise")
     noise.update(_given(args, noise))
@@ -181,7 +169,8 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
-    spec = _spec_from_args(args)
+    spec = (read_json(args.config, lambda config: _spec_from_args(args, config))
+            if args.config else _spec_from_args(args, {}))
     stats = run_batch(spec, workers=args.workers)
     write_trials_csv(out / "trials.csv", stats)
     write_summary_json(out / "summary.json", stats, spec)
@@ -203,10 +192,7 @@ def cmd_figure(args) -> int:
         svg = histogram_figure(fids)
     else:
         # Row i is trial i of the lattice only in a whole dim-2 Bloch sweep.
-        with open(Path(args.csv).with_name("summary.json")) as fh:
-            summary = json.load(fh)
-        if not isinstance(summary, dict):
-            raise ValueError("the summary.json beside the CSV must hold a JSON object")
+        summary = read_json(Path(args.csv).with_name("summary.json"))
         made = [summary.get(key) for key in ("source", "dim", "n_trials")]
         if made != ["bloch_grid", 2, len(rows)]:
             raise ValueError(f"bloch figures need a whole dim-2 bloch sweep, not {made}")

@@ -1,10 +1,12 @@
 """Monte Carlo driver: batches of simulated tomography runs plus calibration.
 
-Every trial is a pure function of (state, experiment spec, trial seed), and
-trial seeds derive from the batch root seed and the trial index alone.  Every
-batch runs in one thread, OUTCOME_CHUNK trials at a time, through one loop
-for both pipelines; ``workers`` is accepted for compatibility only.  A frames
-trial renders once; an adaptive one picks its reference inside that render.
+Every batch runs in one thread, OUTCOME_CHUNK trials at a time, through one
+loop for both pipelines; ``workers`` is accepted for compatibility only.
+Chunk c draws its Haar states and outcome draws as arrays, rows in trial
+order, one stream per kind keyed on chunk_seed(root_seed, c); so row i depends
+only on (root_seed, i), and an outcome row's seed is its chunk's.  Frames
+trial i renders once on trial_seed(root_seed, i), picking an adaptive
+reference inside that render.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +29,7 @@ from .reconstruct import (
     reconstruct_from_frames,
     reconstruct_from_outcomes,
 )
-from .states import PureState, bloch_grid, fidelity, haar_random, normalize
+from .states import PureState, bloch_grid, fidelity, normalize
 
 PIPELINES = ("outcomes", "frames")
 REFERENCE_MODES = ("fixed", "adaptive", "extra_slit")
@@ -39,6 +41,9 @@ HISTOGRAM_BINS = 20
 OUTCOME_CHUNK = 256
 
 _CALIBRATION_TAG = 0x43414C
+# Nonzero: SeedSequence zero-pads keys to four words, so [root, c, 0] would
+# be trial_seed's key [root, c].
+_CHUNK_TAG = 0x43484B
 
 #: Bisection probes calibrate_noise makes after probing both bracket ends.
 CALIBRATION_MAX_PROBES = 80
@@ -151,16 +156,8 @@ class SummaryStats:
     trials: tuple[TrialResult, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "n_failed": self.n_failed,
-            "mean_fidelity": self.mean_fidelity,
-            "std_fidelity": self.std_fidelity,
-            "hist_edges": list(self.hist_edges),
-            "hist_counts": list(self.hist_counts),
-            "purity_false_negatives": self.purity_false_negatives,
-            "failures_by_kind": dict(self.failures_by_kind),
-        }
+        """Every field but ``trials``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trials"}
 
 
 def trial_seed(root_seed: int, index: int) -> int:
@@ -169,37 +166,56 @@ def trial_seed(root_seed: int, index: int) -> int:
     return int(seq.generate_state(2, np.uint64)[0])
 
 
+def chunk_seed(root_seed: int, chunk: int) -> int:
+    """Stable 64-bit seed of one OUTCOME_CHUNK-trial chunk of a batch."""
+    seq = np.random.SeedSequence([int(root_seed), int(chunk), _CHUNK_TAG])
+    return int(seq.generate_state(2, np.uint64)[0])
+
+
+def _streams(seed: int) -> list[np.random.Generator]:
+    """The Philox streams of the run on ``seed``, one per kind of draw: Haar
+    normals, populations, step jitter and interference counts."""
+    return [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(int(seed)).spawn(4)]
+
+
 def generate_states(spec: ExperimentSpec) -> list[PureState]:
-    """The batch input states, in trial order."""
+    """The batch input states, in trial order.
+
+    Haar chunk c is one (rows, 2, dim) array of normals, real then imaginary
+    parts, from the Haar stream of chunk_seed(root_seed, c); each row is
+    normalized, so state i depends only on (root_seed, i)."""
     src = spec.source
     if src.kind == "explicit":
-        for s in src.states:
-            if s.dim != spec.dim:
-                raise ValueError("explicit state dimension differs from spec.dim")
+        if any(s.dim != spec.dim for s in src.states):
+            raise ValueError("explicit state dimension differs from spec.dim")
         return list(src.states)
     if src.kind == "bloch_grid":
         return bloch_grid(src.n)
-    seeds = [np.random.SeedSequence([spec.root_seed, i, 0]) for i in range(src.n)]
-    return [haar_random(spec.dim, s) for s in seeds]
+    states = []
+    for c, start in enumerate(range(0, src.n, OUTCOME_CHUNK)):
+        rows = min(OUTCOME_CHUNK, src.n - start)
+        z = _streams(chunk_seed(spec.root_seed, c))[0].standard_normal((rows, 2, spec.dim))
+        states += [normalize(v) for v in z[:, 0] + 1j * z[:, 1]]
+    return states
 
 
 def _outcome_run(states, spec: ExperimentSpec, seeds):
     """Outcome trials of a run of states, as one report-returning call per trial.
 
-    Each trial draws from its own Generator on SeedSequence(seed):
-    populations, then step jitter, then interference, so its result does not
-    depend on the other trials.  References and two-beam tables are computed
-    for the whole run at once.
+    Every row records the run's one seed.  Populations, step jitter and
+    interference counts are each one array from the seed's stream for the
+    kind, rows in order, so row j depends only on (seed, j) and its state.
     """
+    _, population_rng, jitter_rng, count_rng = _streams(seeds[0])
     photons = float(spec.noise.photons_per_frame)
     amps = np.array([_object_amplitudes(psi, spec.optics.n_slits) for psi in states])
     if spec.optics.n_slits > spec.dim:
         amps = amps / math.sqrt(2.0)
     pops = np.abs(amps) ** 2
-    rngs = [np.random.default_rng(np.random.SeedSequence(int(s))) for s in seeds]
     measured = pops
     if photons > 0.0:
-        measured = np.array([g.poisson(p * photons) for g, p in zip(rngs, pops)], dtype=float)
+        measured = population_rng.poisson(pops * photons).astype(float)
     ref = np.full(len(states), spec.optics.ref_index)
     lit = measured.max(axis=1) > 0.0
     if spec.reference_mode == "adaptive":
@@ -208,18 +224,17 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
 
     # One phase error per step: the stepping element moves once per setting
     # and every slit pairing inherits that same error.
-    jitter = np.array([g.standard_normal(3) for g in rngs]) * float(spec.noise.phase_step_jitter_sd)
+    jitter = jitter_rng.standard_normal((len(states), 3)) * float(spec.noise.phase_step_jitter_sd)
     coherence = amps[np.arange(len(states)), ref][:, None] * np.conj(amps)
     tables = _two_beam_table(pops, coherence, ref, np.asarray(STEP_PHASES) + jitter)
     kind = "count" if photons > 0.0 else "probability"
+    if photons > 0.0:
+        tables = count_rng.poisson(tables * photons).astype(float)
 
     def trial(j):
         if spec.reference_mode == "adaptive" and not lit[j]:
             raise AllZero("all populations are zero")
-        table = tables[j]
-        if photons > 0.0:
-            table = rngs[j].poisson(table * photons).astype(float)
-        outcomes = ProjectorOutcomes(amps.shape[1], int(ref[j]), measured[j], table, kind=kind)
+        outcomes = ProjectorOutcomes(amps.shape[1], int(ref[j]), measured[j], tables[j], kind=kind)
         return reconstruct_from_outcomes(outcomes, tau=spec.tau_purity)
 
     return trial
@@ -267,9 +282,10 @@ def _trials(states, spec: ExperimentSpec, seeds, indices, strict=False):
 def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -> TrialResult:
     """Simulate and reconstruct one state; pure function of its arguments.
 
-    Errors propagate to the caller; in particular a fixed-reference run on a
-    state with an empty slit 0 raises WeakReference.  run_batch converts
-    propagated errors into failed-trial records instead.
+    An outcome trial is the one-row run on ``seed``: the first row of the
+    batch chunk with that seed.  Errors propagate to the caller; in
+    particular a fixed-reference run on a state with an empty slit 0 raises
+    WeakReference.  run_batch converts them into failed-trial records.
     """
     if psi.dim != spec.dim:
         raise ValueError("state dimension differs from spec.dim")
@@ -299,9 +315,10 @@ def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
     """
     states = generate_states(spec)
     trials = []
-    for start in range(0, len(states), OUTCOME_CHUNK):
+    for c, start in enumerate(range(0, len(states), OUTCOME_CHUNK)):
         indices = range(start, min(start + OUTCOME_CHUNK, len(states)))
-        seeds = [trial_seed(spec.root_seed, i) for i in indices]
+        seeds = ([trial_seed(spec.root_seed, i) for i in indices] if spec.pipeline == "frames"
+                 else [chunk_seed(spec.root_seed, c)] * len(indices))
         trials += _trials(states[start : indices.stop], spec, seeds, indices)
 
     fids = np.array([t.fidelity for t in trials])
@@ -334,12 +351,7 @@ def write_trials_csv(path, stats: SummaryStats) -> None:
         writer = csv.writer(fh)
         writer.writerow(["index", "dim", "fidelity", "verdict", "reference", "seed"])
         for t in stats.trials:
-            if t.error is not None:
-                verdict = "FAILED"
-            elif t.pure:
-                verdict = "PURE"
-            else:
-                verdict = "NOT_PURE"
+            verdict = "FAILED" if t.error is not None else "PURE" if t.pure else "NOT_PURE"
             writer.writerow(
                 [t.index, t.dim, repr(t.fidelity), verdict, t.reference_used, t.seed]
             )
@@ -347,16 +359,9 @@ def write_trials_csv(path, stats: SummaryStats) -> None:
 
 def write_summary_json(path, stats: SummaryStats, spec: ExperimentSpec) -> None:
     payload = stats.to_dict()
-    payload.update(
-        {
-            "dim": spec.dim,
-            "pipeline": spec.pipeline,
-            "reference_mode": spec.reference_mode,
-            "source": spec.source.kind,
-            "root_seed": spec.root_seed,
-            "photons_per_frame": spec.noise.photons_per_frame,
-        }
-    )
+    payload.update(dim=spec.dim, pipeline=spec.pipeline, reference_mode=spec.reference_mode,
+                   source=spec.source.kind, root_seed=spec.root_seed,
+                   photons_per_frame=spec.noise.photons_per_frame)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import TomographyError
 from .imaging import Interferogram, OpticalConfig
 
 PGM_MAXVAL = 65535
@@ -51,6 +52,24 @@ def read_pgm(path) -> np.ndarray:
     if data.size != width * height:
         raise ValueError(f"{path} is truncated")
     return data.reshape(height, width).astype(float)
+
+
+def read_json(path, build=dict):
+    """``build`` applied to the JSON object in ``path``.
+
+    A file that holds no JSON object, or whose object lacks a key ``build``
+    reads or holds a value ``build`` refuses, raises a ValueError naming it.
+    """
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise TypeError(f"holds a JSON {type(payload).__name__}, not an object")
+            return build(payload)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from None
+        except (TypeError, ValueError, TomographyError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def save_frames(directory, frames: list[Interferogram], seed: int) -> list[Path]:
@@ -96,12 +115,9 @@ def load_frames(directory) -> list[Interferogram]:
         sidecar_path = pgm_path.with_suffix(".json")
         if not sidecar_path.exists():
             raise FileNotFoundError(f"missing sidecar {sidecar_path}")
-        with open(sidecar_path) as fh:
-            meta = json.load(fh)
         # A sidecar records no envelope, and reconstruction reads none.
-        config = OpticalConfig.from_dict(
-            {**meta, "roi_layout": meta["roi"], "envelope_kind": "flat"}
-        )
-        pixels = read_pgm(pgm_path)
-        frames.append(Interferogram(int(meta["step"]), pixels, config))
+        step, config = read_json(sidecar_path, lambda meta: (
+            int(meta["step"]),
+            OpticalConfig.from_dict({**meta, "roi_layout": meta["roi"], "envelope_kind": "flat"})))
+        frames.append(Interferogram(step, read_pgm(pgm_path), config))
     return frames

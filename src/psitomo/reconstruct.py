@@ -213,19 +213,11 @@ class ReconstructionReport:
         return self.purity_verdict.bound
 
     def to_dict(self) -> dict:
-        slits = []
-        for k in range(self.state.dim):
-            gamma = float(self.per_slit_visibility[k])
-            bound = float(self.expected_visibility[k])
-            margin = float(self.purity_verdict.margins[k])
-            slits.append(
-                {
-                    "slit": k,
-                    "gamma": gamma,
-                    "gamma_pure": bound,
-                    "margin": None if math.isnan(margin) else margin,
-                }
-            )
+        per_slit = zip(self.per_slit_visibility, self.expected_visibility,
+                       self.purity_verdict.margins)
+        slits = [{"slit": k, "gamma": float(g), "gamma_pure": float(b),
+                  "margin": None if math.isnan(m) else float(m)}
+                 for k, (g, b, m) in enumerate(per_slit)]
         return {
             "state": self.state.to_dict(),
             "slits": slits,

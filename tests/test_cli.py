@@ -5,6 +5,7 @@ checked without spawning subprocesses.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -427,34 +428,42 @@ def _bloch_summary(where, text):
 
 
 @pytest.mark.parametrize(
-    "write, text",
+    "write, text, names",
     [
-        (_state_file, "[1]"),
-        (_state_file, '{"dim": 2, "re": {"0": 1}, "im": [0, 0]}'),
-        (_outcomes_file, "[1]"),
+        (_state_file, "[1]", "not an object"),
+        (_state_file, '{"dim": 2, "re": {"0": 1}, "im": [0, 0]}', None),
+        (_state_file, '{"re": [1, 0], "im": [0, 0]}', "missing key 'dim'"),
+        (_outcomes_file, "[1]", "not an object"),
         (_outcomes_file, '{"dim": [2], "ref_index": 0, "populations": [1, 0], '
-                         '"interference": [[0.5, 0.5, 0.5]]}'),
-        (_sweep_config, "[3, 5]"),
-        (_sweep_config, '{"dim": [3]}'),
-        (_sweep_config, '{"trials": {"n": 3}}'),
-        (_sweep_config, '{"noise": [1e5]}'),
-        (_sweep_config, '{"noise": {"photons_per_frame": [1]}}'),
-        (_sweep_config, '{"optical": [1, 2]}'),
-        (_sweep_config, '{"optical": {"n_slits": [3]}}'),
-        (_sweep_config, "{"),
-        (_frame_sidecar, "[1]"),
+                         '"interference": [[0.5, 0.5, 0.5]]}', None),
+        (_outcomes_file, "{}", "missing key 'dim'"),
+        (_outcomes_file, '{"dim": 2, "ref_index": 5, "populations": [1, 0], '
+                         '"interference": [[0.5, 0.5, 0.5]]}', "reference index 5"),
+        (_sweep_config, "[3, 5]", "not an object"),
+        (_sweep_config, '{"dim": [3]}', None),
+        (_sweep_config, '{"trials": {"n": 3}}', None),
+        (_sweep_config, '{"noise": [1e5]}', "noise must be a JSON object"),
+        (_sweep_config, '{"noise": {"photons_per_frame": [1]}}', None),
+        (_sweep_config, '{"optical": [1, 2]}', None),
+        (_sweep_config, '{"optical": {"n_slits": [3]}}', None),
+        (_sweep_config, "{", None),
+        (_frame_sidecar, "[1]", "not an object"),
         (_frame_sidecar, '{"step": 2, "n_slits": 2, "ref_index": 0, "image_dims": [128, 120], '
-                         '"roi": 3}'),
-        (_bloch_summary, "[1]"),
+                         '"roi": 3}', None),
+        (_frame_sidecar, '{"step": 2, "n_slits": 2, "ref_index": 0, "image_dims": [128, 120]}',
+         "missing key 'roi'"),
+        (_bloch_summary, "[1]", "not an object"),
     ],
-    ids=["state-list", "state-re-object", "outcomes-list", "outcomes-dim-list", "config-list",
-         "config-dim-list", "config-trials-object", "noise-list", "noise-value-list",
-         "optical-list", "optical-slits-list", "config-truncated", "sidecar-list",
-         "sidecar-roi-number", "summary-list"],
+    ids=["state-list", "state-re-object", "state-no-dim", "outcomes-list", "outcomes-dim-list",
+         "outcomes-empty", "outcomes-bad-reference", "config-list", "config-dim-list",
+         "config-trials-object", "noise-list", "noise-value-list", "optical-list",
+         "optical-slits-list", "config-truncated", "sidecar-list", "sidecar-roi-number",
+         "sidecar-no-roi", "summary-list"],
 )
-def test_json_input_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, write, text):
-    """Every JSON file the CLI reads: a value of the wrong shape exits 2 with
-    an error line, not a traceback, and writes no output."""
+def test_json_input_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, write, text, names):
+    """Every JSON file the CLI reads: a value of the wrong shape or a missing
+    key exits 2 with an error line that names the file, not a traceback, and
+    writes no output."""
     given = tmp_path / "given"
     given.mkdir()
     argv = write(given, text)
@@ -464,4 +473,7 @@ def test_json_input_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, write
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    named = re.search(re.escape(str(given)) + r"/(\w+)\.json: ", err)
+    assert named and named.group(1) in {"in", "frame_2", "summary"}, err
+    assert names is None or names in err, err
     assert not out.exists() or not any(out.iterdir())

@@ -1,13 +1,16 @@
 """Frames trials in batches: pinned per-trial draws, row independence, and the
 one-pass adaptive render.
 
-``data/frames_trials_pinned.json`` holds, for fourteen small frames specs, the
-seed, reference, verdict, error and fidelity of every trial as the batch
-runner produced them before frames trials shared the outcome trials' chunk
-loop.  The specs cover the fixed, adaptive and extra_slit modes at d = 2, 5
-and 14, a flat envelope, the calibration frame, a noiseless Bloch lattice,
-and low-photon runs whose trials fail with DegenerateFringe, ZeroVector and
-AllZero.  The draws did not change, so every row must be reproduced.
+Frames trial i of a batch renders from its own trial_seed(root_seed, i),
+which its row records; only its input state comes from the batch's
+chunk-keyed Haar draws (generate_states), so row i depends only on
+(root_seed, i).  ``data/frames_trials_pinned.json`` holds, for fourteen small
+frames specs, the seed, reference, verdict, error and fidelity of every trial
+as the batch runner produced them when the Haar draws became chunk-keyed.
+The specs cover the fixed, adaptive and extra_slit modes at d = 2, 5 and 14, a
+flat envelope, the calibration frame, a noiseless Bloch lattice, and
+low-photon runs whose trials fail with DegenerateFringe, ZeroVector and
+AllZero.
 """
 
 import json

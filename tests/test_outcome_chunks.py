@@ -1,9 +1,13 @@
-"""The chunked outcome path: pinned per-trial draws and row independence.
+"""The chunked outcome path: chunk-keyed draws, pinned rows and row independence.
 
-``data/outcome_trials_pinned.json`` holds, for six small specs, the seed,
-reference, verdict, error and fidelity of every trial as the one-trial-at-a-
-time outcome loop produced them.  Running outcome trials in chunks must not
-change a single draw, so the batch runner has to reproduce every row.
+Chunk c of a batch (trials c * OUTCOME_CHUNK onward) draws from the four
+Philox streams that are the children of SeedSequence(chunk_seed(root_seed,
+c)): Haar normals, populations, step jitter and interference counts, in that
+order.  Each kind is one array per chunk with rows in trial order, so row i
+depends only on (root_seed, i), and every outcome row records its chunk's
+seed.  ``data/outcome_trials_pinned.json`` holds, for six small specs, the
+seed, reference, verdict, error and fidelity of every trial as the batch
+runner produced them when this scheme was introduced.
 """
 
 import json
@@ -15,9 +19,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psitomo import ExperimentSpec, NoiseModel, StateSource, run_batch, run_trial, trial_seed
-from psitomo.errors import TomographyError
-from psitomo.harness import OUTCOME_CHUNK, generate_states
+from psitomo import (
+    STEP_PHASES,
+    ExperimentSpec,
+    NoiseModel,
+    ProjectorOutcomes,
+    PureState,
+    StateSource,
+    chunk_seed,
+    fidelity,
+    interference_probs,
+    normalize,
+    reconstruct_from_outcomes,
+    run_batch,
+    run_trial,
+)
+from psitomo.errors import AllZero, TomographyError
+from psitomo.harness import OUTCOME_CHUNK
 
 PINNED = json.loads((Path(__file__).parent / "data" / "outcome_trials_pinned.json").read_text())
 
@@ -26,6 +44,23 @@ def verdict_of(t):
     if t.error is not None:
         return "FAILED"
     return "PURE" if t.pure else "NOT_PURE"
+
+
+def pinned_spec(p):
+    noise = NoiseModel.bench_defaults(p["photons"]) if p["bench_noise"] else NoiseModel()
+    kind = "haar" if p["source"] == "haar" else "bloch_grid"
+    return ExperimentSpec(
+        dim=p["dim"],
+        source=StateSource(kind, p["n"]),
+        root_seed=p["root_seed"],
+        reference_mode=p["reference_mode"],
+        noise=noise,
+    )
+
+
+def haar_spec(dim, mode, photons, n, root):
+    return ExperimentSpec(dim=dim, source=StateSource.haar(n), root_seed=root,
+                          reference_mode=mode, noise=NoiseModel.bench_defaults(photons))
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
@@ -41,17 +76,7 @@ def test_spec_accepts_zero_tau():
 
 @pytest.mark.parametrize("pinned", PINNED["specs"], ids=lambda s: s["name"])
 def test_batch_reproduces_pinned_trials(pinned):
-    photons = pinned["photons"]
-    noise = NoiseModel.bench_defaults(photons) if pinned["bench_noise"] else NoiseModel()
-    kind = "haar" if pinned["source"] == "haar" else "bloch_grid"
-    spec = ExperimentSpec(
-        dim=pinned["dim"],
-        source=StateSource(kind, pinned["n"]),
-        root_seed=pinned["root_seed"],
-        reference_mode=pinned["reference_mode"],
-        noise=noise,
-    )
-    trials = run_batch(spec).trials
+    trials = run_batch(pinned_spec(pinned)).trials
     assert len(trials) == len(pinned["trials"])
     for t, (seed, ref, verdict, error, fid) in zip(trials, pinned["trials"]):
         assert (t.seed, t.reference_used, verdict_of(t), t.error) == (seed, ref, verdict, error)
@@ -59,39 +84,113 @@ def test_batch_reproduces_pinned_trials(pinned):
 
 
 @settings(max_examples=12)
-@example(dim=6, mode="adaptive", photons=3.0, n=2 * OUTCOME_CHUNK + 1, root=5)
+@example(dim=6, mode="adaptive", photons=3.0, n=OUTCOME_CHUNK - 1, extra=2, root=5)
+@example(dim=5, mode="fixed", photons=3.0, n=OUTCOME_CHUNK, extra=OUTCOME_CHUNK + 1, root=3)
+@example(dim=3, mode="extra_slit", photons=1e4, n=1, extra=2 * OUTCOME_CHUNK, root=2**40 + 1)
 @given(
     dim=st.integers(2, 6),
     mode=st.sampled_from(["fixed", "adaptive", "extra_slit"]),
     photons=st.sampled_from([0.0, 3.0, 1e4]),
     n=st.integers(1, 2 * OUTCOME_CHUNK + 1),
-    root=st.integers(0, 2**32 - 1),
+    extra=st.integers(1, OUTCOME_CHUNK + 1),
+    root=st.integers(0, 2**64 - 1),
 )
-def test_batch_rows_match_single_trials(dim, mode, photons, n, root):
-    spec = ExperimentSpec(
-        dim=dim,
-        source=StateSource.haar(n),
-        root_seed=root,
-        reference_mode=mode,
-        noise=NoiseModel.bench_defaults(photons),
-    )
+def test_batch_is_the_first_rows_of_a_longer_batch(dim, mode, photons, n, extra, root):
+    """A batch of n trials is the first n rows of one of n + extra trials."""
+    short = run_batch(haar_spec(dim, mode, photons, n, root)).trials
+    long = run_batch(haar_spec(dim, mode, photons, n + extra, root)).trials[:n]
+    for a, b in zip(short, long):
+        assert (a.index, a.seed, a.error, a.pure, a.reference_used, a.outcome_budget) == (
+            b.index, b.seed, b.error, b.pure, b.reference_used, b.outcome_budget)
+        assert np.array_equal(a.true_state.amps, b.true_state.amps)
+        assert a.fidelity == b.fidelity
+        if a.error is None:
+            assert np.array_equal(a.recon_state.amps, b.recon_state.amps)
+
+
+def redrawn_rows(spec):
+    """(seed, state, reference, error name or report) of every batch row,
+    rebuilt one row at a time from the chunk streams drawn here."""
+    n_slits = spec.optics.n_slits
+    sd = spec.noise.phase_step_jitter_sd
+    photons = spec.noise.photons_per_frame
+    rows = []
+    for c, start in enumerate(range(0, spec.source.n, OUTCOME_CHUNK)):
+        seed = chunk_seed(spec.root_seed, c)
+        haar, populations, jitter, counts = (
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k,))))
+            for k in range(4)
+        )
+        for _ in range(start, min(start + OUTCOME_CHUNK, spec.source.n)):
+            z = haar.standard_normal((2, spec.dim))
+            psi = normalize(z[0] + 1j * z[1])
+            amps = psi.amps if n_slits == spec.dim else np.append(psi.amps, 1.0) / math.sqrt(2.0)
+            pops = np.abs(amps) ** 2
+            measured = populations.poisson(pops * photons).astype(float) if photons else pops
+            ref = spec.optics.ref_index
+            if spec.reference_mode == "adaptive":
+                ref = int(np.argmax(measured))
+            phases = np.asarray(STEP_PHASES) + jitter.standard_normal(3) * sd
+            table = interference_probs(PureState(amps), ref, phases)
+            if photons:
+                table = counts.poisson(table * photons).astype(float)
+            kind = "count" if photons else "probability"
+            try:
+                if spec.reference_mode == "adaptive" and not measured.max() > 0.0:
+                    raise AllZero("all populations are zero")
+                outcome = reconstruct_from_outcomes(
+                    ProjectorOutcomes(n_slits, ref, measured, table, kind=kind),
+                    tau=spec.tau_purity)
+            except TomographyError as exc:
+                outcome = type(exc).__name__
+            rows.append((seed, psi, ref, outcome))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "dim, mode, photons, n, root, reached",
+    [
+        (6, "adaptive", 3.0, 2 * OUTCOME_CHUNK + 3, 5, {"AllZero"}),
+        (5, "fixed", 30.0, OUTCOME_CHUNK + 40, 3, {"WeakReference"}),
+        (4, "extra_slit", 1e4, OUTCOME_CHUNK + 1, 2**40 + 7, set()),
+        (3, "fixed", 0.0, 20, 6, set()),
+    ],
+    ids=["adaptive-3", "fixed-30", "extra_slit-1e4", "fixed-noiseless"],
+)
+def test_rows_match_inversions_of_redrawn_streams(dim, mode, photons, n, root, reached):
+    spec = haar_spec(dim, mode, photons, n, root)
     batch = run_batch(spec).trials
-    for i, psi in enumerate(generate_states(spec)):
-        seed = trial_seed(root, i)
-        row = batch[i]
-        assert (row.index, row.seed, row.dim) == (i, seed, dim)
+    rows = redrawn_rows(spec)
+    assert len(rows) == len(batch) == n
+    failed = set()
+    for row, (seed, psi, ref, outcome) in zip(batch, rows):
+        assert row.seed == seed
         assert np.array_equal(row.true_state.amps, psi.amps)
+        if isinstance(outcome, str):
+            assert (row.error, row.fidelity, row.reference_used) == (outcome, 0.0, -1)
+            failed.add(outcome)
+            continue
+        assert (row.error, row.reference_used) == (None, ref)
+        assert row.pure == outcome.purity_verdict.pure
+        assert abs(row.fidelity - fidelity(psi, normalize(outcome.state.amps[:dim]))) <= 1e-12
+    assert failed >= reached
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive", "extra_slit"])
+@pytest.mark.parametrize("photons", [3.0, 1e4])
+def test_first_row_of_each_chunk_is_run_trial_on_its_seed(mode, photons):
+    spec = haar_spec(5, mode, photons, 3 * OUTCOME_CHUNK + 2, 17)
+    batch = run_batch(spec).trials
+    for c in range(4):
+        row = batch[c * OUTCOME_CHUNK]
+        assert row.seed == chunk_seed(17, c)
+        assert all(t.seed == row.seed for t in batch[c * OUTCOME_CHUNK : (c + 1) * OUTCOME_CHUNK])
         try:
-            single = run_trial(psi, spec, seed, i)
+            single = run_trial(row.true_state, spec, row.seed, row.index)
         except TomographyError as exc:
             assert row.error == type(exc).__name__
-            assert (row.fidelity, row.pure, row.reference_used, row.recon_state) == (
-                0.0, False, -1, None
-            )
             continue
-        assert row.error is None
-        assert (row.pure, row.reference_used, row.outcome_budget) == (
-            single.pure, single.reference_used, single.outcome_budget
-        )
-        assert abs(row.fidelity - single.fidelity) <= 1e-12
-        assert np.allclose(row.recon_state.amps, single.recon_state.amps, rtol=0, atol=1e-12)
+        assert (single.index, single.seed, single.error, single.pure, single.reference_used) == (
+            row.index, row.seed, None, row.pure, row.reference_used)
+        assert abs(single.fidelity - row.fidelity) <= 1e-12
+        assert np.allclose(single.recon_state.amps, row.recon_state.amps, rtol=0, atol=1e-12)
