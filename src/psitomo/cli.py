@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 from pathlib import Path
@@ -157,8 +158,9 @@ def _spec_from_args(args, config: dict) -> ExperimentSpec:
     if source not in ("haar", "bloch", "bloch_grid"):
         raise ValueError(f"unknown source {source!r}; use haar or bloch")
     return ExperimentSpec(
-        dim=int(merged["dim"]),
-        source=StateSource("haar" if source == "haar" else "bloch_grid", int(merged["trials"])),
+        dim=operator.index(merged["dim"]),
+        source=StateSource("haar" if source == "haar" else "bloch_grid",
+                           operator.index(merged["trials"])),
         root_seed=args.seed,
         pipeline=merged["pipeline"],
         reference_mode=merged["reference_mode"],
@@ -187,7 +189,10 @@ def cmd_figure(args) -> int:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"{args.csv} holds no trial rows")
-    fids = [float(r["fidelity"]) for r in rows]
+    fids = np.array([float(r["fidelity"]) for r in rows])
+    # Written so that NaN fails the test too.
+    if not np.all((fids >= 0.0) & (fids <= 1.0)):
+        raise ValueError(f"{args.csv} holds fidelities that are not finite numbers in [0, 1]")
     if args.mode == "hist":
         svg = histogram_figure(fids)
     else:
@@ -196,10 +201,7 @@ def cmd_figure(args) -> int:
         made = [summary.get(key) for key in ("source", "dim", "n_trials")]
         if made != ["bloch_grid", 2, len(rows)]:
             raise ValueError(f"bloch figures need a whole dim-2 bloch sweep, not {made}")
-        states = bloch_grid(len(rows))
-        mean = float(np.mean(fids))
-        std = float(np.std(fids))
-        svg = bloch_figure(states, fids, mean, std)
+        svg = bloch_figure(bloch_grid(len(rows)), fids)
     fig_path = out / args.out
     fig_path.write_text(svg)
     print(f"wrote {fig_path}")

@@ -41,18 +41,19 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def bloch_figure(states: list[PureState], fidelities, mean: float, std: float) -> str:
+def bloch_figure(states: list[PureState], fidelities) -> str:
     """Orthographic Bloch-sphere scatter, one marker per state, colored by fidelity.
 
     The view looks down the +x axis: markers sit at (y, z); back-hemisphere
-    points are drawn first so the near side overplots them.
+    points are drawn first so the near side overplots them.  The annotation
+    gives the mean and sd of ``fidelities``.
     """
     fids = np.asarray(fidelities, dtype=float)
     if len(states) != fids.size:
         raise ValueError("need one fidelity per state")
     size, radius = 480, 190
     cx, cy = size // 2, size // 2 + 10
-    lo, hi = (float(fids.min()), float(fids.max())) if fids.size else (0.0, 1.0)
+    lo, hi = float(fids.min()), float(fids.max())
     span = hi - lo if hi > lo else 1.0
 
     body = [
@@ -61,7 +62,8 @@ def bloch_figure(states: list[PureState], fidelities, mean: float, std: float) -
         f'<ellipse cx="{cx}" cy="{cy}" rx="{radius}" ry="{radius / 4:.1f}" '
         'fill="none" stroke="#cccccc" stroke-width="1"/>',
         f'<text x="16" y="28" font-family="monospace" font-size="15">'
-        f"mean F = {mean:.4f}, sd = {std:.4f}, n = {len(states)}</text>",
+        f"mean F = {float(fids.mean()):.4f}, sd = {float(fids.std()):.4f}, "
+        f"n = {fids.size}</text>",
     ]
     order = []
     for i, psi in enumerate(states):
@@ -83,12 +85,12 @@ def bloch_figure(states: list[PureState], fidelities, mean: float, std: float) -
     return _svg_document(size, size, body)
 
 
-def histogram_figure(fidelities, bins: int = 20) -> str:
-    """Bar histogram of batch fidelities over [min F, 1] with summary text."""
+def histogram_figure(fidelities) -> str:
+    """Bar histogram of fidelities in summary.json's HISTOGRAM_BINS bins, with summary text."""
     fids = np.asarray(fidelities, dtype=float)
     if fids.size == 0:
         raise ValueError("need at least one fidelity")
-    edges = _histogram_edges(fids, bins)
+    edges = _histogram_edges(fids)
     counts, _ = np.histogram(fids, bins=edges)
     peak = max(int(counts.max()), 1)
 
@@ -96,7 +98,7 @@ def histogram_figure(fidelities, bins: int = 20) -> str:
     left, right, top, bottom = 56, 16, 48, 48
     plot_w = width - left - right
     plot_h = height - top - bottom
-    bar_w = plot_w / bins
+    bar_w = plot_w / len(counts)
 
     body = [
         f'<text x="{left}" y="26" font-family="monospace" font-size="15">'

@@ -339,10 +339,10 @@ def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
     )
 
 
-def _histogram_edges(fids: np.ndarray, bins: int = HISTOGRAM_BINS) -> tuple[float, ...]:
+def _histogram_edges(fids: np.ndarray) -> tuple[float, ...]:
     """Equal bins over [min F, 1], spanning at least 1e-9 so rounding cannot split them."""
     lo = min(float(fids.min()), 1.0 - 1e-9)
-    return tuple(float(x) for x in np.linspace(lo, 1.0, bins + 1))
+    return tuple(float(x) for x in np.linspace(lo, 1.0, HISTOGRAM_BINS + 1))
 
 
 def write_trials_csv(path, stats: SummaryStats) -> None:
@@ -387,12 +387,15 @@ def calibrate_noise(
     """Find the photon budget whose batch mean fidelity hits the target.
 
     Bisects log10(photons_per_frame) inside ``bracket`` while every other
-    noise field keeps its template value; each probe reruns the same
-    ``trials`` states (drawn from the template's source kind) with the same
-    derived seed so the profile is smooth.  Raises Unattainable when the
-    bracket cannot reach the target, e.g. when step jitter alone already
-    costs more fidelity than the target allows.
+    noise field and the optics keep their template values; each probe reruns
+    the same ``trials`` states (drawn from the template's source kind) with
+    the same derived seed so the profile is smooth.  ``dim`` must be the
+    template's.  Raises Unattainable when the bracket cannot reach the
+    target, e.g. when step jitter alone already costs more fidelity than the
+    target allows.
     """
+    if dim != template.dim:
+        raise ValueError(f"dim {dim} differs from the template's dim {template.dim}")
     if not 0.0 < target_mean_fidelity < 1.0:
         raise ValueError("target mean fidelity must lie strictly inside (0, 1)")
     lo, hi = (float(bracket[0]), float(bracket[1]))
@@ -404,13 +407,7 @@ def calibrate_noise(
         probe_source = template.source
     else:
         probe_source = StateSource(template.source.kind, trials)
-    base = replace(
-        template,
-        dim=dim,
-        source=probe_source,
-        root_seed=probe_root,
-        optical=None,
-    )
+    base = replace(template, source=probe_source, root_seed=probe_root)
     target = target_mean_fidelity
     log_lo, log_hi = math.log10(lo), math.log10(hi)
     f_lo = math.nan

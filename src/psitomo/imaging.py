@@ -17,6 +17,7 @@ the reference and records the bare slit populations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -189,10 +190,10 @@ class OpticalConfig:
     def from_dict(cls, payload: dict) -> "OpticalConfig":
         """Config from a JSON object; keys the config does not read are ignored."""
         return cls(
-            n_slits=int(payload["n_slits"]),
-            ref_index=int(payload["ref_index"]),
-            image_dims=tuple(int(v) for v in payload["image_dims"]),
-            roi_layout=tuple(tuple(int(v) for v in r) for r in payload["roi_layout"]),
+            n_slits=operator.index(payload["n_slits"]),
+            ref_index=operator.index(payload["ref_index"]),
+            image_dims=tuple(map(operator.index, payload["image_dims"])),
+            roi_layout=tuple(tuple(map(operator.index, r)) for r in payload["roi_layout"]),
             ref_envelope=tuple(float(v) for v in payload.get("ref_envelope", ())),
             envelope_kind=str(payload.get("envelope_kind", "custom")),
             envelope_width=payload.get("envelope_width"),

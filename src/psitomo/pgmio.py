@@ -9,6 +9,7 @@ the ROI layout, the seed, and that scale factor.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from pathlib import Path
 
@@ -115,9 +116,10 @@ def load_frames(directory) -> list[Interferogram]:
         sidecar_path = pgm_path.with_suffix(".json")
         if not sidecar_path.exists():
             raise FileNotFoundError(f"missing sidecar {sidecar_path}")
-        # A sidecar records no envelope, and reconstruction reads none.
-        step, config = read_json(sidecar_path, lambda meta: (
-            int(meta["step"]),
-            OpticalConfig.from_dict({**meta, "roi_layout": meta["roi"], "envelope_kind": "flat"})))
-        frames.append(Interferogram(step, read_pgm(pgm_path), config))
+        pixels = read_pgm(pgm_path)
+        # A sidecar records no envelope, and reconstruction reads none.  Its
+        # path prefixes any step or image size the frame refuses.
+        frames.append(read_json(sidecar_path, lambda meta: Interferogram(
+            operator.index(meta["step"]), pixels, OpticalConfig.from_dict(
+                {**meta, "roi_layout": meta["roi"], "envelope_kind": "flat"}))))
     return frames

@@ -20,6 +20,7 @@ exactly three shots per slit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,6 @@ class ProjectorSpec:
             raise ValueError("qudit dimension must be at least 2")
         if not 0 <= self.ref_index < self.dim:
             raise BadIndex(f"reference index {self.ref_index} outside 0..{self.dim - 1}")
-
-    @property
-    def slit_indices(self) -> np.ndarray:
-        """Target slits in ascending order, skipping the reference."""
-        idx = np.arange(self.dim)
-        return idx[idx != self.ref_index]
 
 
 @dataclass
@@ -118,8 +113,8 @@ class ProjectorOutcomes:
     @classmethod
     def from_dict(cls, payload: dict) -> "ProjectorOutcomes":
         return cls(
-            dim=int(payload["dim"]),
-            ref_index=int(payload["ref_index"]),
+            dim=operator.index(payload["dim"]),
+            ref_index=operator.index(payload["ref_index"]),
             populations=np.asarray(payload["populations"], dtype=float),
             interference=np.asarray(payload["interference"], dtype=float),
             kind=str(payload.get("kind", "probability")),

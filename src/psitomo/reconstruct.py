@@ -24,16 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllZero,
-    DegenerateFringe,
-    DimensionMismatch,
-    NonpositiveReference,
-    WeakReference,
-    ZeroResultant,
-)
+from .errors import AllZero, DegenerateFringe, NonpositiveReference, WeakReference, ZeroResultant
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
-from .projectors import ProjectorOutcomes, ProjectorSpec, measurement_plan
+from .projectors import ProjectorOutcomes, measurement_plan
 from .states import PHASE_PIVOT, PureState, _canonical_phase, normalize
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
@@ -59,17 +52,17 @@ def _require_finite(values, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def psi_phase(i1: float, i2: float, i3: float, *, eps: float | None = None) -> float:
+def psi_phase(i1: float, i2: float, i3: float) -> float:
     """Fringe phase in (-pi, pi] from the three stepped intensities.
 
-    ``eps`` is the degeneracy threshold on the intensity differences; when
-    omitted it defaults to 1e-6 times the largest of the three intensities.
+    Raises DegenerateFringe when neither intensity difference exceeds
+    DEGENERATE_FRACTION times the largest intensity, the fraction that
+    reconstruct_from_frames also applies per pixel.
     """
     _require_finite((i1, i2, i3), "intensities")
     d1 = float(i1) - float(i2)
     d3 = float(i3) - float(i2)
-    if eps is None:
-        eps = DEGENERATE_FRACTION * max(abs(float(i1)), abs(float(i2)), abs(float(i3)))
+    eps = DEGENERATE_FRACTION * max(abs(float(i1)), abs(float(i2)), abs(float(i3)))
     if max(abs(d1), abs(d3)) <= eps:
         raise DegenerateFringe(
             f"intensity differences {d1:.3e}, {d3:.3e} below threshold {eps:.3e}"
@@ -229,28 +222,18 @@ class ReconstructionReport:
 
 def reconstruct_from_outcomes(
     outcomes: ProjectorOutcomes,
-    spec: ProjectorSpec | None = None,
     *,
     tau: float = TAU_PURITY,
 ) -> ReconstructionReport:
     """Invert 4d - 3 outcomes into a pure state.
 
-    The reference coefficient is sqrt(p_r); every other coefficient follows
-    from c_k = conj[((p_1 - p_2) + i (p_3 - p_2)) / (sqrt(2) c_r)].  Counts
-    are normalized by the total population first, probabilities are used as
+    The outcomes name their own dimension and reference slit.  The reference
+    coefficient is sqrt(p_r); every other coefficient follows from
+    c_k = conj[((p_1 - p_2) + i (p_3 - p_2)) / (sqrt(2) c_r)].  Counts are
+    normalized by the total population first, probabilities are used as
     is.  Raises WeakReference when the reference population falls below
     1e-4 of the strongest one.
     """
-    if spec is not None:
-        if spec.dim != outcomes.dim:
-            raise DimensionMismatch(
-                f"outcomes dim {outcomes.dim} != spec dim {spec.dim}"
-            )
-        if spec.ref_index != outcomes.ref_index:
-            raise DimensionMismatch(
-                f"outcomes reference {outcomes.ref_index} != spec reference "
-                f"{spec.ref_index}"
-            )
     pops, table = outcomes._probabilities()
     r = outcomes.ref_index
     p_ref = float(pops[r])

@@ -8,6 +8,8 @@ inputs and certification oracles for mixed states.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVector
@@ -75,7 +77,7 @@ class PureState:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PureState":
-        dim = int(payload["dim"])
+        dim = operator.index(payload["dim"])
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
         if re.shape != (dim,) or im.shape != (dim,):

@@ -238,6 +238,25 @@ def test_figure_bloch_needs_the_whole_bloch_sweep(tmp_path, sweep, rows_kept):
     assert not (out / "figure.svg").exists()
 
 
+@pytest.mark.parametrize("mode", ["hist", "bloch"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.25"])
+def test_figure_refuses_non_physical_fidelities(tmp_path, capsys, mode, value):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dim", "2", "--source", "bloch", "--trials", "4", "--seed", "1",
+                 "--out-dir", str(out)]) == EXIT_OK
+    csv_path = out / "trials.csv"
+    lines = csv_path.read_text().splitlines(keepends=True)
+    row = lines[2].split(",")
+    row[2] = value
+    lines[2] = ",".join(row)
+    csv_path.write_text("".join(lines))
+    capsys.readouterr()
+    code = main(["figure", "--mode", mode, "--csv", str(csv_path), "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert str(csv_path) in capsys.readouterr().err
+    assert not (out / "figure.svg").exists()
+
+
 def test_figure_bloch_rejects_higher_dims(tmp_path):
     out = tmp_path / "sweep"
     assert (
@@ -420,6 +439,13 @@ def _frame_sidecar(where, text):
     return ["reconstruct", "--frames-dir", str(where)]
 
 
+def _sidecar(**changes):
+    """A frame_2.json of the dim-2 standard layout, with ``changes`` applied."""
+    meta = {"step": 2, "roi": [[40, 56, 10, 16], [70, 56, 10, 16]], "seed": 1,
+            "ref_index": 0, "n_slits": 2, "image_dims": [128, 120], "scale": 1.0}
+    return json.dumps({**meta, **changes})
+
+
 def _bloch_summary(where, text):
     assert main(["sweep", "--dim", "2", "--source", "bloch", "--trials", "4", "--seed", "1",
                  "--out-dir", str(where)]) == EXIT_OK
@@ -433,32 +459,43 @@ def _bloch_summary(where, text):
         (_state_file, "[1]", "not an object"),
         (_state_file, '{"dim": 2, "re": {"0": 1}, "im": [0, 0]}', None),
         (_state_file, '{"re": [1, 0], "im": [0, 0]}', "missing key 'dim'"),
+        (_state_file, '{"dim": 2.5, "re": [1, 0], "im": [0, 0]}', "integer"),
         (_outcomes_file, "[1]", "not an object"),
         (_outcomes_file, '{"dim": [2], "ref_index": 0, "populations": [1, 0], '
                          '"interference": [[0.5, 0.5, 0.5]]}', None),
         (_outcomes_file, "{}", "missing key 'dim'"),
         (_outcomes_file, '{"dim": 2, "ref_index": 5, "populations": [1, 0], '
                          '"interference": [[0.5, 0.5, 0.5]]}', "reference index 5"),
+        (_outcomes_file, '{"dim": 2, "ref_index": 0.5, "populations": [1, 0], '
+                         '"interference": [[0.5, 0.5, 0.5]]}', "integer"),
         (_sweep_config, "[3, 5]", "not an object"),
         (_sweep_config, '{"dim": [3]}', None),
         (_sweep_config, '{"trials": {"n": 3}}', None),
+        (_sweep_config, '{"dim": 2.9, "trials": 3.7}', "integer"),
         (_sweep_config, '{"noise": [1e5]}', "noise must be a JSON object"),
         (_sweep_config, '{"noise": {"photons_per_frame": [1]}}', None),
         (_sweep_config, '{"optical": [1, 2]}', None),
         (_sweep_config, '{"optical": {"n_slits": [3]}}', None),
+        (_sweep_config, '{"optical": {"n_slits": 2, "ref_index": 0, "image_dims": [128, 120.5], '
+                        '"roi_layout": [[40, 56, 10, 16], [70, 56, 10, 16]]}}', "integer"),
         (_sweep_config, "{", None),
         (_frame_sidecar, "[1]", "not an object"),
         (_frame_sidecar, '{"step": 2, "n_slits": 2, "ref_index": 0, "image_dims": [128, 120], '
                          '"roi": 3}', None),
         (_frame_sidecar, '{"step": 2, "n_slits": 2, "ref_index": 0, "image_dims": [128, 120]}',
          "missing key 'roi'"),
+        (_frame_sidecar, _sidecar(step=2.7), "integer"),
+        (_frame_sidecar, _sidecar(step=7), "step index 7 outside 0..4"),
+        (_frame_sidecar, _sidecar(image_dims=[128, 600]), "does not match the configured image"),
         (_bloch_summary, "[1]", "not an object"),
     ],
-    ids=["state-list", "state-re-object", "state-no-dim", "outcomes-list", "outcomes-dim-list",
-         "outcomes-empty", "outcomes-bad-reference", "config-list", "config-dim-list",
-         "config-trials-object", "noise-list", "noise-value-list", "optical-list",
-         "optical-slits-list", "config-truncated", "sidecar-list", "sidecar-roi-number",
-         "sidecar-no-roi", "summary-list"],
+    ids=["state-list", "state-re-object", "state-no-dim", "state-dim-float", "outcomes-list",
+         "outcomes-dim-list", "outcomes-empty", "outcomes-bad-reference",
+         "outcomes-reference-float", "config-list", "config-dim-list", "config-trials-object",
+         "config-dim-trials-float", "noise-list", "noise-value-list", "optical-list",
+         "optical-slits-list", "optical-image-dims-float", "config-truncated", "sidecar-list",
+         "sidecar-roi-number", "sidecar-no-roi", "sidecar-step-float", "sidecar-step-7",
+         "sidecar-image-dims-wrong", "summary-list"],
 )
 def test_json_input_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, write, text, names):
     """Every JSON file the CLI reads: a value of the wrong shape or a missing

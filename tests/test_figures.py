@@ -16,21 +16,21 @@ def test_ramp_color_endpoints():
 def test_bloch_figure_marker_count_and_annotation():
     states = bloch_grid(25)
     fids = [0.99 + 0.0004 * i for i in range(25)]
-    svg = bloch_figure(states, fids, 0.995, 0.003)
+    svg = bloch_figure(states, fids)
     assert svg.count('class="pt"') == 25
-    assert "mean F = 0.9950" in svg
+    assert "mean F = 0.9948" in svg
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
 
 
 def test_bloch_figure_requires_matching_lengths():
     with pytest.raises(ValueError):
-        bloch_figure(bloch_grid(4), [1.0], 1.0, 0.0)
+        bloch_figure(bloch_grid(4), [1.0])
 
 
 def test_histogram_figure_bar_count():
     fids = [0.99 + 0.0005 * (i % 20) for i in range(100)]
-    svg = histogram_figure(fids, bins=20)
+    svg = histogram_figure(fids)
     assert svg.count('class="bar"') == 20
     assert svg.startswith("<svg")
 

@@ -22,6 +22,7 @@ from psitomo import (
     write_summary_json,
     write_trials_csv,
 )
+from psitomo import harness
 from psitomo.errors import Unattainable, WeakReference
 from psitomo.harness import OUTCOME_CHUNK, _streams
 
@@ -322,6 +323,22 @@ def test_calibrate_noise_unattainable_target():
     # heavy jitter caps fidelity well below 0.9999 at any photon budget
     with pytest.raises(Unattainable):
         calibrate_noise(0.9999, 2, template, trials=40, bracket=(1e2, 1e6))
+
+
+def test_calibrate_noise_keeps_the_template_optics(monkeypatch):
+    flat = OpticalConfig.for_dim(3, envelope="flat")
+    template = spec_of(dim=3, n=1, pipeline="frames", optical=flat)
+    seen = []
+
+    def spy(spec, workers=1):
+        seen.append(spec.optics)
+        return run_batch(spec, workers)
+
+    monkeypatch.setattr(harness, "run_batch", spy)
+    calibrate_noise(0.99, 3, template, trials=4, tol=0.5)
+    assert seen == [flat]
+    with pytest.raises(ValueError, match="dim"):
+        calibrate_noise(0.99, 2, template, trials=4, tol=0.5)
 
 
 def test_calibrate_noise_rejects_silly_target():

@@ -30,7 +30,6 @@ from psitomo import (
 from psitomo.errors import (
     AllZero,
     DegenerateFringe,
-    DimensionMismatch,
     NonpositiveReference,
     WeakReference,
     ZeroResultant,
@@ -64,10 +63,6 @@ def test_psi_phase_returns_positive_pi_on_the_branch_cut():
 def test_psi_phase_degenerate_raises():
     with pytest.raises(DegenerateFringe):
         psi_phase(1.0, 1.0, 1.0)
-    # custom eps widens the dead zone
-    i1, i2, i3 = stepped_triple(0.3, 1e-9, 1.0)
-    with pytest.raises(DegenerateFringe):
-        psi_phase(i1, i2, i3, eps=1e-6)
 
 
 def test_psi_visibility_round_trip():
@@ -236,7 +231,7 @@ def test_outcome_round_trip_is_exact(d):
 def test_outcome_round_trip_nondefault_reference():
     psi = haar_random(6, seed=5)
     spec = ProjectorSpec(6, ref_index=4)
-    report = reconstruct_from_outcomes(exact_outcomes(psi, spec), spec)
+    report = reconstruct_from_outcomes(exact_outcomes(psi, spec))
     assert fidelity(psi, report.state) >= 1.0 - 1e-12
     assert report.reference_used == 4
 
@@ -254,14 +249,6 @@ def test_reconstruct_rejects_weak_reference():
     psi = normalize(np.array([0.0, 1.0]))
     with pytest.raises(WeakReference):
         reconstruct_from_outcomes(exact_outcomes(psi))
-
-
-def test_reconstruct_rejects_mismatched_spec():
-    out = exact_outcomes(haar_random(3, seed=2))
-    with pytest.raises(DimensionMismatch):
-        reconstruct_from_outcomes(out, ProjectorSpec(4))
-    with pytest.raises(DimensionMismatch):
-        reconstruct_from_outcomes(out, ProjectorSpec(3, ref_index=1))
 
 
 def test_mixed_state_fails_purity_but_pure_passes():
