@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import os
 import sys
 from pathlib import Path
@@ -37,7 +36,7 @@ from .imaging import (
 from .pgmio import PGM_MAXVAL, load_frames, read_json, save_frames, write_pgm
 from .projectors import ProjectorOutcomes
 from .reconstruct import reconstruct_from_frames, reconstruct_from_outcomes
-from .states import PureState, bloch_grid, haar_random
+from .states import PureState, _json_int, bloch_grid, haar_random
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -158,9 +157,9 @@ def _spec_from_args(args, config: dict) -> ExperimentSpec:
     if source not in ("haar", "bloch", "bloch_grid"):
         raise ValueError(f"unknown source {source!r}; use haar or bloch")
     return ExperimentSpec(
-        dim=operator.index(merged["dim"]),
+        dim=_json_int(merged["dim"]),
         source=StateSource("haar" if source == "haar" else "bloch_grid",
-                           operator.index(merged["trials"])),
+                           _json_int(merged["trials"])),
         root_seed=args.seed,
         pipeline=merged["pipeline"],
         reference_mode=merged["reference_mode"],
@@ -171,8 +170,12 @@ def _spec_from_args(args, config: dict) -> ExperimentSpec:
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
-    spec = (read_json(args.config, lambda config: _spec_from_args(args, config))
-            if args.config else _spec_from_args(args, {}))
+    config = {}
+    if args.config:
+        # Checked without the flags first, so that only the file's own errors name it.
+        no_flags = argparse.Namespace(seed=args.seed)
+        config = read_json(args.config, lambda c: _spec_from_args(no_flags, c) and c)
+    spec = _spec_from_args(args, config)
     stats = run_batch(spec, workers=args.workers)
     write_trials_csv(out / "trials.csv", stats)
     write_summary_json(out / "summary.json", stats, spec)
@@ -189,7 +192,12 @@ def cmd_figure(args) -> int:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"{args.csv} holds no trial rows")
-    fids = np.array([float(r["fidelity"]) for r in rows])
+    try:
+        fids = np.array([float(r["fidelity"]) for r in rows])
+    except KeyError as exc:
+        raise ValueError(f"{args.csv}: missing column {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.csv}: {exc}") from None
     # Written so that NaN fails the test too.
     if not np.all((fids >= 0.0) & (fids <= 1.0)):
         raise ValueError(f"{args.csv} holds fidelities that are not finite numbers in [0, 1]")

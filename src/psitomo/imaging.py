@@ -17,7 +17,6 @@ the reference and records the bare slit populations.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigMismatch
 from .projectors import STEP_PHASES
-from .states import PureState
+from .states import PureState, _json_int
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
 DISPLAY_SLIT_PITCH = 30
@@ -190,10 +189,10 @@ class OpticalConfig:
     def from_dict(cls, payload: dict) -> "OpticalConfig":
         """Config from a JSON object; keys the config does not read are ignored."""
         return cls(
-            n_slits=operator.index(payload["n_slits"]),
-            ref_index=operator.index(payload["ref_index"]),
-            image_dims=tuple(map(operator.index, payload["image_dims"])),
-            roi_layout=tuple(tuple(map(operator.index, r)) for r in payload["roi_layout"]),
+            n_slits=_json_int(payload["n_slits"]),
+            ref_index=_json_int(payload["ref_index"]),
+            image_dims=tuple(map(_json_int, payload["image_dims"])),
+            roi_layout=tuple(tuple(map(_json_int, r)) for r in payload["roi_layout"]),
             ref_envelope=tuple(float(v) for v in payload.get("ref_envelope", ())),
             envelope_kind=str(payload.get("envelope_kind", "custom")),
             envelope_width=payload.get("envelope_width"),

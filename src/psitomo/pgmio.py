@@ -9,7 +9,6 @@ the ROI layout, the seed, and that scale factor.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .errors import TomographyError
 from .imaging import Interferogram, OpticalConfig
+from .states import _json_int
 
 PGM_MAXVAL = 65535
 
@@ -120,6 +120,6 @@ def load_frames(directory) -> list[Interferogram]:
         # A sidecar records no envelope, and reconstruction reads none.  Its
         # path prefixes any step or image size the frame refuses.
         frames.append(read_json(sidecar_path, lambda meta: Interferogram(
-            operator.index(meta["step"]), pixels, OpticalConfig.from_dict(
+            _json_int(meta["step"]), pixels, OpticalConfig.from_dict(
                 {**meta, "roi_layout": meta["roi"], "envelope_kind": "flat"}))))
     return frames

@@ -20,13 +20,13 @@ exactly three shots per slit.
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllZero, BadIndex, DimensionMismatch
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, _json_int
 
 #: Reference phase offsets pi/4, 3pi/4, 5pi/4 of the three interference steps.
 STEP_PHASES: tuple[float, float, float] = tuple(
@@ -77,12 +77,16 @@ class ProjectorOutcomes:
             raise ValueError("populations must have shape (dim,)")
         if self.interference.shape != (self.dim - 1, 3):
             raise ValueError("interference must have shape (dim - 1, 3)")
-        if not (np.isfinite(self.populations).all() and np.isfinite(self.interference).all()):
+        pops, table = self.populations, self.interference
+        # min and max carry NaN and +-inf through, so four reductions check both.
+        ends = (np.minimum.reduce(pops), np.maximum.reduce(pops),
+                np.minimum.reduce(table, axis=None), np.maximum.reduce(table, axis=None))
+        if not all(map(math.isfinite, ends)):
             raise ValueError("outcome values must be finite")
-        if self.populations.min() < 0 or self.interference.min() < 0:
+        if min(ends) < 0:
             raise ValueError("outcome values cannot be negative")
         if self.kind == "probability":
-            total = float(self.populations.sum())
+            total = float(np.add.reduce(self.populations))
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"populations sum to {total:.17g}, expected 1")
 
@@ -96,7 +100,7 @@ class ProjectorOutcomes:
         """(populations, interference) rescaled so populations sum to one."""
         if self.kind == "probability":
             return self.populations, self.interference
-        total = float(self.populations.sum())
+        total = float(np.add.reduce(self.populations))
         if total <= 0.0:
             raise AllZero("cannot normalize outcomes with zero total counts")
         return self.populations / total, self.interference / total
@@ -113,8 +117,8 @@ class ProjectorOutcomes:
     @classmethod
     def from_dict(cls, payload: dict) -> "ProjectorOutcomes":
         return cls(
-            dim=operator.index(payload["dim"]),
-            ref_index=operator.index(payload["ref_index"]),
+            dim=_json_int(payload["dim"]),
+            ref_index=_json_int(payload["ref_index"]),
             populations=np.asarray(payload["populations"], dtype=float),
             interference=np.asarray(payload["interference"], dtype=float),
             kind=str(payload.get("kind", "probability")),

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AllZero, DegenerateFringe, NonpositiveReference, WeakReference, ZeroResultant
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, measurement_plan
-from .states import PHASE_PIVOT, PureState, _canonical_phase, normalize
+from .states import PHASE_PIVOT, PureState, _canonical_phase, _norm, normalize
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
 #: strongest population.
@@ -176,17 +177,16 @@ def certify_purity(
 
 def _purity_check(p, g, r, ref_index: int, tau: float) -> PurityCheck:
     """certify_purity on finite float input, unchecked; ``r`` may be a scalar."""
-    eps = WEAK_FRACTION * float(p.max()) if p.size else 0.0
-
-    both = (p > 0.0) & (r > 0.0)
-    bound = np.divide(2.0 * np.sqrt(p * r), p + r, out=np.zeros(p.shape), where=both)
-    others = np.arange(p.size) != ref_index
-    verifiable = others & (p > eps) & (r > 0.0)
+    eps = WEAK_FRACTION * float(np.maximum.reduce(p)) if p.size else 0.0
+    bound = np.divide(2.0 * np.sqrt(p * r), p + r, out=np.zeros(p.shape), where=(p > 0) & (r > 0))
+    verifiable = (p > eps) & (r > 0)
+    if 0 <= ref_index < p.size:
+        verifiable[ref_index] = False
     margins = np.where(verifiable, g - bound, np.nan)
-    unverifiable = tuple(np.flatnonzero(others & ~verifiable).tolist())
+    unverifiable = tuple(k for k in (~verifiable).nonzero()[0].tolist() if k != ref_index)
     for arr in (bound, margins):
         arr.setflags(write=False)
-    pure = not (margins < -tau - PURITY_FLOOR).any()
+    pure = not np.logical_or.reduce(margins < -tau - PURITY_FLOOR)
     return PurityCheck(pure, margins, unverifiable, tau, bound)
 
 
@@ -237,24 +237,33 @@ def reconstruct_from_outcomes(
     pops, table = outcomes._probabilities()
     r = outcomes.ref_index
     p_ref = float(pops[r])
-    peak = float(pops.max())
+    peak = float(np.maximum.reduce(pops))
     if p_ref <= 0.0 or p_ref < WEAK_FRACTION * peak:
         raise WeakReference(
             f"reference population {p_ref:.3e} is below {WEAK_FRACTION:g} of the "
             f"strongest population {peak:.3e}"
         )
 
-    others = np.arange(outcomes.dim) != r
+    others = _others(outcomes.dim, r)
     z = (table[:, 0] - table[:, 1]) + 1j * (table[:, 2] - table[:, 1])
     c_ref = math.sqrt(p_ref)
-    amps = np.zeros(outcomes.dim, dtype=np.complex128)
+    amps = np.empty(outcomes.dim, dtype=np.complex128)
     amps[r] = c_ref
     amps[others] = np.conj(z / (math.sqrt(2.0) * c_ref))
 
     mean_level = 0.5 * (p_ref + pops[others])
-    gamma = np.ones(outcomes.dim)
+    gamma = np.empty(outcomes.dim)
+    gamma[r] = 1.0
     gamma[others] = np.abs(z) / (math.sqrt(2.0) * mean_level)
     return _report(amps, pops, gamma, p_ref, r, tau, "adaptive")
+
+
+@lru_cache(maxsize=256)
+def _others(dim: int, r: int) -> np.ndarray:
+    """The slits other than ``r``, ascending: the rows of an interference table."""
+    idx = np.array([k for k in range(dim) if k != r])
+    idx.setflags(write=False)
+    return idx
 
 
 def _report(amps, pops, gamma, ref_level, r: int, tau, plan: str) -> ReconstructionReport:
@@ -265,7 +274,7 @@ def _report(amps, pops, gamma, ref_level, r: int, tau, plan: str) -> Reconstruct
     """
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
-    state = normalize(_canonical_phase(amps, PHASE_PIVOT * float(np.linalg.norm(amps))))
+    state = normalize(_canonical_phase(amps, PHASE_PIVOT * _norm(amps)))
     verdict = _purity_check(pops, gamma, ref_level, r, float(tau))
     gamma.setflags(write=False)
     return ReconstructionReport(

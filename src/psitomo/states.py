@@ -8,6 +8,7 @@ inputs and certification oracles for mixed states.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -77,7 +78,7 @@ class PureState:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PureState":
-        dim = operator.index(payload["dim"])
+        dim = _json_int(payload["dim"])
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
         if re.shape != (dim,) or im.shape != (dim,):
@@ -131,13 +132,20 @@ class DensityMatrix:
         return cls(np.eye(dim) / dim)
 
 
+def _json_int(value) -> int:
+    """An integer JSON field: operator.index, refusing the booleans it accepts."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, not {str(value).lower()}")
+    return operator.index(value)
+
+
 def _canonical_phase(amps: np.ndarray, floor: float = PHASE_PIVOT) -> np.ndarray:
     """``amps`` turned so its first amplitude above ``floor`` is real positive."""
     mags = np.abs(amps)
-    pivot = int(np.argmax(mags > floor))
+    pivot = int((mags > floor).argmax())
     if not mags[pivot] > floor:
         return amps
-    phase = float(np.angle(amps[pivot]))
+    phase = float(np.arctan2(amps[pivot].imag, amps[pivot].real))  # np.angle's formula
     if phase == 0.0:
         return amps
     rotated = amps * np.exp(-1j * phase)
@@ -154,9 +162,14 @@ def normalize(amps) -> PureState:
     arr = np.asarray(amps, dtype=np.complex128)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D amplitude vector of length >= 2")
-    if np.abs(arr).max() < 1e-15:
+    if np.maximum.reduce(np.abs(arr)) < 1e-15:
         raise ZeroVector("cannot normalize a zero amplitude vector")
-    return PureState(arr / np.linalg.norm(arr))
+    return PureState(arr / _norm(arr))
+
+
+def _norm(amps: np.ndarray) -> float:
+    """Euclidean norm of a contiguous complex vector, summed as np.linalg.norm sums it."""
+    return math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
 
 
 def haar_random(dim: int, seed) -> PureState:

@@ -239,22 +239,61 @@ def test_figure_bloch_needs_the_whole_bloch_sweep(tmp_path, sweep, rows_kept):
 
 
 @pytest.mark.parametrize("mode", ["hist", "bloch"])
-@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.25"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.25", "abc", "no-column"])
 def test_figure_refuses_non_physical_fidelities(tmp_path, capsys, mode, value):
+    """A fidelity outside [0, 1], one that is not a number, or no fidelity
+    column at all: exit 2 with an error that names the CSV, and no SVG."""
     out = tmp_path / "sweep"
     assert main(["sweep", "--dim", "2", "--source", "bloch", "--trials", "4", "--seed", "1",
                  "--out-dir", str(out)]) == EXIT_OK
     csv_path = out / "trials.csv"
     lines = csv_path.read_text().splitlines(keepends=True)
-    row = lines[2].split(",")
-    row[2] = value
-    lines[2] = ",".join(row)
+    if value == "no-column":
+        lines[0] = lines[0].replace("fidelity", "fid")
+    else:
+        row = lines[2].split(",")
+        row[2] = value
+        lines[2] = ",".join(row)
     csv_path.write_text("".join(lines))
     capsys.readouterr()
     code = main(["figure", "--mode", mode, "--csv", str(csv_path), "--out-dir", str(out)])
     assert code == EXIT_CONFIG
-    assert str(csv_path) in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {csv_path}")
     assert not (out / "figure.svg").exists()
+
+
+@pytest.mark.parametrize("flags", [["--dim", "1"], ["--photons", "-5"]], ids=["dim", "photons"])
+def test_sweep_flag_errors_do_not_name_the_config(tmp_path, capsys, flags):
+    """A valid --config file with a bad flag: the error is the flag's, so it
+    does not carry the file's path."""
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"dim": 3}')
+    capsys.readouterr()
+    code = main(["sweep", "--config", str(cfg_path), "--seed", "1", *flags,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg_path) not in err, err
+    assert not (tmp_path / "out" / "trials.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, names",
+    [({"dim": 1}, "qudit dimension must be at least 2"),
+     ({"noise": {"photons_per_frame": -5}}, "photons_per_frame must be")],
+    ids=["dim", "photons"],
+)
+def test_sweep_config_errors_name_the_config(tmp_path, capsys, cfg, names):
+    """A bad value in the --config file names the file, even when a flag
+    would override it."""
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = main(["sweep", "--config", str(cfg_path), "--seed", "1", "--dim", "3",
+                 "--photons", "1e4", "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {names}")
+    assert not (tmp_path / "out" / "trials.csv").exists()
 
 
 def test_figure_bloch_rejects_higher_dims(tmp_path):
@@ -488,6 +527,13 @@ def _bloch_summary(where, text):
         (_frame_sidecar, _sidecar(step=7), "step index 7 outside 0..4"),
         (_frame_sidecar, _sidecar(image_dims=[128, 600]), "does not match the configured image"),
         (_bloch_summary, "[1]", "not an object"),
+        (_state_file, '{"dim": true, "re": [1, 0], "im": [0, 0]}', "integer"),
+        (_outcomes_file, '{"dim": 2, "ref_index": true, "populations": [0, 1], '
+                         '"interference": [[0.5, 0.5, 0.5]]}', "integer"),
+        (_sweep_config, '{"trials": true}', "integer"),
+        (_sweep_config, '{"optical": {"n_slits": 2, "ref_index": false, "image_dims": [128, 120], '
+                        '"roi_layout": [[40, 56, 10, 16], [70, 56, 10, 16]]}}', "integer"),
+        (_frame_sidecar, _sidecar(step=True), "integer"),
     ],
     ids=["state-list", "state-re-object", "state-no-dim", "state-dim-float", "outcomes-list",
          "outcomes-dim-list", "outcomes-empty", "outcomes-bad-reference",
@@ -495,7 +541,8 @@ def _bloch_summary(where, text):
          "config-dim-trials-float", "noise-list", "noise-value-list", "optical-list",
          "optical-slits-list", "optical-image-dims-float", "config-truncated", "sidecar-list",
          "sidecar-roi-number", "sidecar-no-roi", "sidecar-step-float", "sidecar-step-7",
-         "sidecar-image-dims-wrong", "summary-list"],
+         "sidecar-image-dims-wrong", "summary-list", "state-dim-true", "outcomes-reference-true",
+         "config-trials-true", "optical-reference-false", "sidecar-step-true"],
 )
 def test_json_input_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, write, text, names):
     """Every JSON file the CLI reads: a value of the wrong shape or a missing

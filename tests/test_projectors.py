@@ -137,16 +137,20 @@ def test_outcomes_validation():
         ProjectorOutcomes(3, 0, pops * 2, good, kind="probability")
     with pytest.raises(ValueError):
         ProjectorOutcomes(3, 0, -pops, good, kind="count")
+    bad = good.copy()
+    bad[1, 2] = -0.1
+    with pytest.raises(ValueError, match="negative"):
+        ProjectorOutcomes(3, 0, pops, bad, kind="count")
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_outcomes_reject_non_finite_values(bad):
     pops = np.array([0.5, 0.5])
     table = np.full((1, 3), 0.25)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         ProjectorOutcomes(2, 0, np.array([bad, 0.5]), table, kind="count")
     table[0, 1] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         ProjectorOutcomes(2, 0, pops, table, kind="count")
 
 

@@ -4,6 +4,7 @@ States are Haar draws keyed by an integer seed; the profile in conftest.py
 derandomizes the search, so every run checks the same examples.
 """
 
+import math
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -22,6 +23,7 @@ from psitomo import (
     ProjectorSpec,
     PureState,
     StateSource,
+    certify_purity,
     exact_outcomes,
     exact_outcomes_mixed,
     fidelity,
@@ -33,6 +35,7 @@ from psitomo import (
     sample_counts,
 )
 from psitomo.pgmio import PGM_MAXVAL, read_pgm, write_pgm
+from psitomo.reconstruct import PURITY_FLOOR, WEAK_FRACTION
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -212,3 +215,32 @@ def test_pgm_header_comments_at_every_separator(position, shape, data):
     fields = [b"P5", str(shape[1]).encode(), str(shape[0]).encode(), str(PGM_MAXVAL).encode()]
     header = fields[0] + b"".join(sep + f for sep, f in zip(seps, fields[1:])) + b"\n"
     assert np.array_equal(read_blob(header + pixels.tobytes()), pixels)
+
+
+@given(st.integers(1, 9), seeds, st.booleans(), st.floats(0.0, 0.2))
+def test_certify_purity_follows_its_rule_slit_by_slit(dim, seed, scalar_ref, tau):
+    """certify_purity against a plain loop over its documented rule, exactly:
+    zero, weak and strong populations, a scalar reference level or a per-slit
+    one that holds zeros."""
+    rng = np.random.default_rng(seed)
+    p = rng.random(dim) * (rng.random(dim) < 0.8) * np.where(rng.random(dim) < 0.2, 1e-6, 1.0)
+    g = 1.2 * rng.random(dim)
+    lit = rng.random(1 if scalar_ref else dim) < 0.8
+    r = float(rng.random() * lit[0]) if scalar_ref else rng.random(dim) * lit
+    ref = int(rng.integers(dim))
+    check = certify_purity(p, g, r, ref_index=ref, tau=tau)
+
+    r_k = np.broadcast_to(r, (dim,))
+    eps = WEAK_FRACTION * max(p)
+    bound, margins, unverifiable = [], [], []
+    for k in range(dim):
+        both = p[k] > 0.0 and r_k[k] > 0.0
+        bound.append(2.0 * math.sqrt(p[k] * r_k[k]) / (p[k] + r_k[k]) if both else 0.0)
+        verifiable = k != ref and p[k] > eps and r_k[k] > 0.0
+        margins.append(g[k] - bound[k] if verifiable else math.nan)
+        if k != ref and not verifiable:
+            unverifiable.append(k)
+    np.testing.assert_array_equal(check.bound, bound)
+    np.testing.assert_array_equal(check.margins, margins)  # NaN only where NaN
+    assert check.unverifiable == tuple(unverifiable)
+    assert check.pure == (not any(m < -tau - PURITY_FLOOR for m in margins))
