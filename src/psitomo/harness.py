@@ -398,6 +398,8 @@ def calibrate_noise(
         raise ValueError(f"dim {dim} differs from the template's dim {template.dim}")
     if not 0.0 < target_mean_fidelity < 1.0:
         raise ValueError("target mean fidelity must lie strictly inside (0, 1)")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     lo, hi = (float(bracket[0]), float(bracket[1]))
     if not 0.0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < low < high")

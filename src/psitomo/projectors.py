@@ -77,13 +77,13 @@ class ProjectorOutcomes:
             raise ValueError("populations must have shape (dim,)")
         if self.interference.shape != (self.dim - 1, 3):
             raise ValueError("interference must have shape (dim - 1, 3)")
-        pops, table = self.populations, self.interference
-        # min and max carry NaN and +-inf through, so four reductions check both.
-        ends = (np.minimum.reduce(pops), np.maximum.reduce(pops),
-                np.minimum.reduce(table, axis=None), np.maximum.reduce(table, axis=None))
-        if not all(map(math.isfinite, ends)):
+        if self.dim < 2:
+            raise ValueError("qudit dimension must be at least 2")
+        # In Python floats: at d = 2..14 cheaper than numpy's per-call overhead.
+        values = self.populations.tolist() + self.interference.ravel().tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("outcome values must be finite")
-        if min(ends) < 0:
+        if min(values) < 0:
             raise ValueError("outcome values cannot be negative")
         if self.kind == "probability":
             total = float(np.add.reduce(self.populations))

@@ -46,6 +46,7 @@ TAU_PURITY = 0.02
 PURITY_FLOOR = 1e-12
 
 _RESULTANT_TOL = 1e-12
+_SQRT2 = math.sqrt(2.0)
 
 
 def _require_finite(values, what: str) -> None:
@@ -169,6 +170,8 @@ def certify_purity(
     g = np.asarray(visibilities, dtype=float)
     if p.shape != g.shape:
         raise ValueError("populations and visibilities must have the same length")
+    if p.ndim != 1:
+        raise ValueError("populations and visibilities must be 1-D")
     r = np.broadcast_to(np.asarray(ref_population, dtype=float), p.shape)
     _require_finite((p, g, r), "populations, visibilities and reference levels")
     _require_finite(tau, "tau")
@@ -176,18 +179,26 @@ def certify_purity(
 
 
 def _purity_check(p, g, r, ref_index: int, tau: float) -> PurityCheck:
-    """certify_purity on finite float input, unchecked; ``r`` may be a scalar."""
-    eps = WEAK_FRACTION * float(np.maximum.reduce(p)) if p.size else 0.0
-    bound = np.divide(2.0 * np.sqrt(p * r), p + r, out=np.zeros(p.shape), where=(p > 0) & (r > 0))
-    verifiable = (p > eps) & (r > 0)
-    if 0 <= ref_index < p.size:
-        verifiable[ref_index] = False
-    margins = np.where(verifiable, g - bound, np.nan)
-    unverifiable = tuple(k for k in (~verifiable).nonzero()[0].tolist() if k != ref_index)
+    """certify_purity on finite float arrays, unchecked; ``r`` may be a float.  One
+    pass in Python floats: at d = 2..14 cheaper than numpy calls, and rounded alike."""
+    p, g = p.tolist(), g.tolist()
+    r = [r] * len(p) if isinstance(r, float) else r.tolist()
+    eps = WEAK_FRACTION * max(p, default=0.0)
+    floor = -tau - PURITY_FLOOR
+    bound, margins, unverifiable, pure = [], [], [], True
+    for k, (pk, gk, rk) in enumerate(zip(p, g, r)):
+        bound.append(2.0 * math.sqrt(pk * rk) / (pk + rk) if pk > 0.0 and rk > 0.0 else 0.0)
+        if k != ref_index and pk > eps and rk > 0.0:
+            margins.append(gk - bound[k])
+            pure = pure and not margins[k] < floor
+        else:
+            margins.append(math.nan)
+            if k != ref_index:
+                unverifiable.append(k)
+    bound, margins = np.array(bound), np.array(margins)
     for arr in (bound, margins):
         arr.setflags(write=False)
-    pure = not np.logical_or.reduce(margins < -tau - PURITY_FLOOR)
-    return PurityCheck(pure, margins, unverifiable, tau, bound)
+    return PurityCheck(pure, margins, tuple(unverifiable), tau, bound)
 
 
 @dataclass(frozen=True)
@@ -236,34 +247,41 @@ def reconstruct_from_outcomes(
     """
     pops, table = outcomes._probabilities()
     r = outcomes.ref_index
-    p_ref = float(pops[r])
-    peak = float(np.maximum.reduce(pops))
+    p = pops.tolist()
+    p_ref, peak = p[r], max(p)
     if p_ref <= 0.0 or p_ref < WEAK_FRACTION * peak:
         raise WeakReference(
             f"reference population {p_ref:.3e} is below {WEAK_FRACTION:g} of the "
             f"strongest population {peak:.3e}"
         )
 
-    others = _others(outcomes.dim, r)
-    z = (table[:, 0] - table[:, 1]) + 1j * (table[:, 2] - table[:, 1])
+    # Python floats, rounded as numpy rounds conj(z / (sqrt(2) c_r)): it divides
+    # by a real through the reciprocal, and the + 0.0 terms give its signed
+    # zeros.  |z| stays numpy's, whose last bit math.hypot does not match.
     c_ref = math.sqrt(p_ref)
-    amps = np.empty(outcomes.dim, dtype=np.complex128)
-    amps[r] = c_ref
-    amps[others] = np.conj(z / (math.sqrt(2.0) * c_ref))
-
-    mean_level = 0.5 * (p_ref + pops[others])
-    gamma = np.empty(outcomes.dim)
-    gamma[r] = 1.0
-    gamma[others] = np.abs(z) / (math.sqrt(2.0) * mean_level)
-    return _report(amps, pops, gamma, p_ref, r, tau, "adaptive")
+    scale = 1.0 / (_SQRT2 * c_ref)
+    others = _others(outcomes.dim, r)
+    amps, z = [complex(c_ref)] * outcomes.dim, []
+    for k, (i1, i2, i3) in zip(others, table.tolist()):
+        d1, d3 = i1 - i2, 0.0 + (i3 - i2)
+        amps[k] = complex((d1 + 0.0 * d3) * scale, -(d3 * scale))
+        z.append(complex(d1, d3))
+    gamma = [1.0] * outcomes.dim
+    for k, modulus in zip(others, np.abs(np.array(z)).tolist()):
+        gamma[k] = modulus / (_SQRT2 * (0.5 * (p_ref + p[k])))
+    return _report(np.array(amps), pops, np.array(gamma), p_ref, r, tau, "adaptive")
 
 
 @lru_cache(maxsize=256)
-def _others(dim: int, r: int) -> np.ndarray:
+def _others(dim: int, r: int) -> tuple[int, ...]:
     """The slits other than ``r``, ascending: the rows of an interference table."""
-    idx = np.array([k for k in range(dim) if k != r])
-    idx.setflags(write=False)
-    return idx
+    return tuple(k for k in range(dim) if k != r)
+
+
+@lru_cache(maxsize=256)
+def _budget(dim: int, plan: str) -> int:
+    """measurement_plan's outcome count, built once per (dim, plan) as plans are frozen."""
+    return measurement_plan(dim, plan).n_outcomes
 
 
 def _report(amps, pops, gamma, ref_level, r: int, tau, plan: str) -> ReconstructionReport:
@@ -282,7 +300,7 @@ def _report(amps, pops, gamma, ref_level, r: int, tau, plan: str) -> Reconstruct
         per_slit_visibility=gamma,
         purity_verdict=verdict,
         reference_used=r,
-        outcome_budget=measurement_plan(amps.size, plan).n_outcomes,
+        outcome_budget=_budget(amps.size, plan),
     )
 
 

@@ -27,12 +27,14 @@ class PureState:
     """Unit-norm complex amplitude vector over d >= 2 slits.
 
     The stored array is read-only; every operation returns a new state.
+    ``_owned`` is for this module: ``amps`` is then a fresh complex vector
+    that no caller keeps, frozen in place instead of copied.
     """
 
     __slots__ = ("_amps",)
 
-    def __init__(self, amps) -> None:
-        arr = np.array(amps, dtype=np.complex128)
+    def __init__(self, amps, *, _owned: bool = False) -> None:
+        arr = amps if _owned else np.array(amps, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("amplitudes must form a 1-D vector")
         if arr.size < 2:
@@ -164,7 +166,7 @@ def normalize(amps) -> PureState:
         raise ValueError("need a 1-D amplitude vector of length >= 2")
     if np.maximum.reduce(np.abs(arr)) < 1e-15:
         raise ZeroVector("cannot normalize a zero amplitude vector")
-    return PureState(arr / _norm(arr))
+    return PureState(arr / _norm(arr), _owned=True)
 
 
 def _norm(amps: np.ndarray) -> float:

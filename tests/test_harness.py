@@ -341,9 +341,17 @@ def test_calibrate_noise_keeps_the_template_optics(monkeypatch):
         calibrate_noise(0.99, 2, template, trials=4, tol=0.5)
 
 
-def test_calibrate_noise_rejects_silly_target():
+def test_calibrate_noise_rejects_silly_target(monkeypatch):
     with pytest.raises(ValueError):
         calibrate_noise(1.5, 2, spec_of(dim=2), trials=10)
+    # A tolerance no probe can meet is refused before the first probe, on a
+    # target the default bracket attains.
+    probes = []
+    monkeypatch.setattr(harness, "run_batch", lambda spec, workers=1: probes.append(spec))
+    for tol in (float("nan"), 0.0, -0.01):
+        with pytest.raises(ValueError, match="tol"):
+            calibrate_noise(0.99, 2, spec_of(dim=2), trials=10, tol=tol)
+    assert probes == []
 
 
 @pytest.mark.parametrize(

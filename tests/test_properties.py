@@ -34,8 +34,11 @@ from psitomo import (
     run_trial,
     sample_counts,
 )
+from psitomo.errors import AllZero, WeakReference
 from psitomo.pgmio import PGM_MAXVAL, read_pgm, write_pgm
+from psitomo.projectors import OUTCOME_KINDS
 from psitomo.reconstruct import PURITY_FLOOR, WEAK_FRACTION
+from psitomo.states import PHASE_PIVOT, _canonical_phase, _norm, normalize
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -217,6 +220,29 @@ def test_pgm_header_comments_at_every_separator(position, shape, data):
     assert np.array_equal(read_blob(header + pixels.tobytes()), pixels)
 
 
+def purity_rule(p, g, r_k, ref, tau):
+    """certify_purity's documented rule as a plain loop: (bound, margins,
+    unverifiable, pure)."""
+    eps = WEAK_FRACTION * max(p)
+    bound, margins, unverifiable = [], [], []
+    for k in range(len(p)):
+        both = p[k] > 0.0 and r_k[k] > 0.0
+        bound.append(2.0 * math.sqrt(p[k] * r_k[k]) / (p[k] + r_k[k]) if both else 0.0)
+        verifiable = k != ref and p[k] > eps and r_k[k] > 0.0
+        margins.append(g[k] - bound[k] if verifiable else math.nan)
+        if k != ref and not verifiable:
+            unverifiable.append(k)
+    return bound, margins, tuple(unverifiable), not any(m < -tau - PURITY_FLOOR for m in margins)
+
+
+def assert_follows_purity_rule(check, rule):
+    bound, margins, unverifiable, pure = rule
+    np.testing.assert_array_equal(check.bound, bound)
+    np.testing.assert_array_equal(check.margins, margins)  # NaN only where NaN
+    assert check.unverifiable == unverifiable
+    assert check.pure == pure
+
+
 @given(st.integers(1, 9), seeds, st.booleans(), st.floats(0.0, 0.2))
 def test_certify_purity_follows_its_rule_slit_by_slit(dim, seed, scalar_ref, tau):
     """certify_purity against a plain loop over its documented rule, exactly:
@@ -229,18 +255,51 @@ def test_certify_purity_follows_its_rule_slit_by_slit(dim, seed, scalar_ref, tau
     r = float(rng.random() * lit[0]) if scalar_ref else rng.random(dim) * lit
     ref = int(rng.integers(dim))
     check = certify_purity(p, g, r, ref_index=ref, tau=tau)
+    assert_follows_purity_rule(check, purity_rule(p, g, np.broadcast_to(r, (dim,)), ref, tau))
 
-    r_k = np.broadcast_to(r, (dim,))
-    eps = WEAK_FRACTION * max(p)
-    bound, margins, unverifiable = [], [], []
+
+@given(st.integers(2, 9), seeds, st.sampled_from(OUTCOME_KINDS), st.floats(0.0, 0.2))
+def test_reconstruct_from_outcomes_follows_its_formula_slit_by_slit(dim, seed, kind, tau):
+    """reconstruct_from_outcomes against a plain loop over its documented
+    formula, exactly: c_r = sqrt(p_r), c_k = conj[((p_1 - p_2) + i (p_3 - p_2))
+    / (sqrt(2) c_r)] and gamma_k = |...| / (sqrt(2) (p_r + p_k) / 2), on counts
+    or probabilities with zero slits, slits on both sides of the weak
+    threshold, and any reference slit."""
+    rng = np.random.default_rng(seed)
+    weak = np.where(rng.random(dim) < 0.4, 10.0 ** rng.uniform(-4.5, -3.5, dim), 1.0)
+    weights = rng.random(dim) * (rng.random(dim) < 0.8) * weak
+    table = rng.random((dim - 1, 3)) * (rng.random((dim - 1, 3)) < 0.9)
+    if kind == "count":
+        pops, table = rng.poisson(weights * 1e4).astype(float), rng.poisson(table * 1e4).astype(float)
+    else:
+        assume(weights.sum() > 0.0)
+        pops = weights / weights.sum()
+    ref = int(rng.integers(dim))
+    outcomes = ProjectorOutcomes(dim, ref, pops, table, kind=kind)
+    if kind == "count" and not pops.sum() > 0.0:
+        with pytest.raises(AllZero):
+            reconstruct_from_outcomes(outcomes, tau=tau)
+        return
+
+    total = pops.sum() if kind == "count" else 1.0
+    p = [x / total for x in pops] if kind == "count" else list(pops)
+    if p[ref] <= 0.0 or p[ref] < WEAK_FRACTION * max(p):
+        with pytest.raises(WeakReference):
+            reconstruct_from_outcomes(outcomes, tau=tau)
+        return
+    report = reconstruct_from_outcomes(outcomes, tau=tau)
+
+    c_ref = math.sqrt(p[ref])
+    amps, gamma = np.full(dim, complex(c_ref)), np.ones(dim)
+    rows = iter(table / total if kind == "count" else table)
     for k in range(dim):
-        both = p[k] > 0.0 and r_k[k] > 0.0
-        bound.append(2.0 * math.sqrt(p[k] * r_k[k]) / (p[k] + r_k[k]) if both else 0.0)
-        verifiable = k != ref and p[k] > eps and r_k[k] > 0.0
-        margins.append(g[k] - bound[k] if verifiable else math.nan)
-        if k != ref and not verifiable:
-            unverifiable.append(k)
-    np.testing.assert_array_equal(check.bound, bound)
-    np.testing.assert_array_equal(check.margins, margins)  # NaN only where NaN
-    assert check.unverifiable == tuple(unverifiable)
-    assert check.pure == (not any(m < -tau - PURITY_FLOOR for m in margins))
+        if k != ref:
+            i1, i2, i3 = next(rows)
+            z = np.array([complex(i1 - i2, i3 - i2)])
+            amps[k] = np.conj(z / (math.sqrt(2.0) * c_ref))[0]
+            gamma[k] = np.abs(z)[0] / (math.sqrt(2.0) * (0.5 * (p[ref] + p[k])))
+    expected = normalize(_canonical_phase(amps, PHASE_PIVOT * _norm(amps)))
+    assert report.state.amps.tobytes() == expected.amps.tobytes()
+    np.testing.assert_array_equal(report.per_slit_visibility, gamma)
+    assert report.reference_used == ref and report.outcome_budget == 4 * dim - 3
+    assert_follows_purity_rule(report.purity_verdict, purity_rule(p, gamma, [p[ref]] * dim, ref, tau))
