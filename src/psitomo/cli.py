@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -33,7 +32,7 @@ from .imaging import (
     annotate_rois,
     render_frames,
 )
-from .pgmio import PGM_MAXVAL, load_frames, read_json, save_frames, write_pgm
+from .pgmio import PGM_MAXVAL, load_frames, read_json, save_frames, write_json, write_pgm
 from .projectors import ProjectorOutcomes
 from .reconstruct import reconstruct_from_frames, reconstruct_from_outcomes
 from .states import PureState, _json_int, bloch_grid, haar_random
@@ -111,9 +110,7 @@ def cmd_simulate(args) -> int:
         psi, config, noise, args.seed, include_calibration=args.calibration
     )
     save_frames(out, frames, args.seed)
-    with open(out / "true_state.json", "w") as fh:
-        json.dump(psi.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "true_state.json", psi.to_dict())
     if args.preview:
         marked = annotate_rois(frames[1])
         peak = float(marked.max())
@@ -136,9 +133,7 @@ def cmd_reconstruct(args) -> int:
         report = reconstruct_from_outcomes(read_json(args.outcomes, ProjectorOutcomes.from_dict))
 
     report_path = out / args.report
-    with open(report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_path, report.to_dict())
     verdict = "PURE" if report.purity_verdict.pure else "NOT_PURE"
     print(
         f"dim {report.state.dim}, reference {report.reference_used}, "

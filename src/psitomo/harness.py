@@ -12,7 +12,6 @@ reference inside that render.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -20,11 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AllZero, TomographyError, Unattainable
+from .errors import TomographyError, Unattainable
 from .imaging import NoiseModel, OpticalConfig, _object_amplitudes, _render
+from .pgmio import write_json
 from .projectors import STEP_PHASES, ProjectorOutcomes, _two_beam_table
 from .reconstruct import (
     TAU_PURITY,
+    _slack,
     choose_reference,
     reconstruct_from_frames,
     reconstruct_from_outcomes,
@@ -103,9 +104,7 @@ class ExperimentSpec:
             raise ValueError(f"reference mode must be one of {REFERENCE_MODES}")
         if self.source.kind == "bloch_grid" and self.dim != 2:
             raise ValueError("the Bloch lattice source is defined for dim 2 only")
-        # Written so that NaN fails the test too.
-        if not 0.0 <= float(self.tau_purity) < math.inf:
-            raise ValueError("tau_purity must be finite and non-negative")
+        _slack(self.tau_purity, "tau_purity")
         # for_dim alone sets each mode's slit count and fixed reference slit.
         adaptive = self.reference_mode == "adaptive"
         layout = OpticalConfig.for_dim(
@@ -217,7 +216,6 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
     if photons > 0.0:
         measured = population_rng.poisson(pops * photons).astype(float)
     ref = np.full(len(states), spec.optics.ref_index)
-    lit = measured.max(axis=1) > 0.0
     if spec.reference_mode == "adaptive":
         # choose_reference row by row: the first strongest population.
         ref = np.argmax(measured, axis=1)
@@ -232,8 +230,6 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
         tables = count_rng.poisson(tables * photons).astype(float)
 
     def trial(j):
-        if spec.reference_mode == "adaptive" and not lit[j]:
-            raise AllZero("all populations are zero")
         outcomes = ProjectorOutcomes(amps.shape[1], int(ref[j]), measured[j], tables[j], kind=kind)
         return reconstruct_from_outcomes(outcomes, tau=spec.tau_purity)
 
@@ -358,13 +354,9 @@ def write_trials_csv(path, stats: SummaryStats) -> None:
 
 
 def write_summary_json(path, stats: SummaryStats, spec: ExperimentSpec) -> None:
-    payload = stats.to_dict()
-    payload.update(dim=spec.dim, pipeline=spec.pipeline, reference_mode=spec.reference_mode,
-                   source=spec.source.kind, root_seed=spec.root_seed,
-                   photons_per_frame=spec.noise.photons_per_frame)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, dict(stats.to_dict(), dim=spec.dim, pipeline=spec.pipeline,
+                          reference_mode=spec.reference_mode, source=spec.source.kind,
+                          root_seed=spec.root_seed, photons_per_frame=spec.noise.photons_per_frame))
 
 
 @dataclass(frozen=True)

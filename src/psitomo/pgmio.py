@@ -31,7 +31,7 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     arr = np.asarray(pixels)
     if arr.ndim != 2:
         raise ValueError("PGM image must be 2-D")
-    if arr.min() < 0 or arr.max() > PGM_MAXVAL:
+    if not (arr.min() >= 0 and arr.max() <= PGM_MAXVAL):  # NaN fails too
         raise ValueError(f"pixel values must lie in 0..{PGM_MAXVAL}")
     height, width = arr.shape
     header = f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii")
@@ -48,10 +48,10 @@ def read_pgm(path) -> np.ndarray:
     width, height, maxval = (int(g) for g in match.groups())
     if not 1 <= maxval <= PGM_MAXVAL:
         raise ValueError(f"{path} declares maxval {maxval}, outside 1..{PGM_MAXVAL}")
-    dtype = ">u2" if maxval > 255 else "u1"
-    data = np.frombuffer(blob[match.end() :], dtype=dtype, count=width * height)
-    if data.size != width * height:
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    if len(blob) - match.end() < width * height * dtype.itemsize:
         raise ValueError(f"{path} is truncated")
+    data = np.frombuffer(blob[match.end() :], dtype=dtype, count=width * height)
     return data.reshape(height, width).astype(float)
 
 
@@ -73,6 +73,11 @@ def read_json(path, build=dict):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON with a two-space indent, sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def save_frames(directory, frames: list[Interferogram], seed: int) -> list[Path]:
     """Write a frame set plus sidecars; returns the PGM paths written.
 
@@ -89,7 +94,7 @@ def save_frames(directory, frames: list[Interferogram], seed: int) -> list[Path]
         quantized = np.rint(f.pixels * scale).astype(np.uint16)
         pgm_path = directory / f"frame_{f.step_index}.pgm"
         write_pgm(pgm_path, quantized)
-        sidecar = {
+        write_json(directory / f"frame_{f.step_index}.json", {
             "step": f.step_index,
             "roi": [list(r) for r in f.config.roi_layout],
             "seed": int(seed),
@@ -97,10 +102,7 @@ def save_frames(directory, frames: list[Interferogram], seed: int) -> list[Path]
             "n_slits": f.config.n_slits,
             "image_dims": list(f.config.image_dims),
             "scale": scale,
-        }
-        with open(directory / f"frame_{f.step_index}.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         paths.append(pgm_path)
     return paths
 

@@ -69,6 +69,8 @@ class ProjectorOutcomes:
     def __post_init__(self) -> None:
         self.populations = np.asarray(self.populations, dtype=float)
         self.interference = np.asarray(self.interference, dtype=float)
+        if self.dim < 2:
+            raise ValueError("qudit dimension must be at least 2")
         if self.kind not in OUTCOME_KINDS:
             raise ValueError(f"kind must be one of {OUTCOME_KINDS}")
         if not 0 <= self.ref_index < self.dim:
@@ -77,8 +79,6 @@ class ProjectorOutcomes:
             raise ValueError("populations must have shape (dim,)")
         if self.interference.shape != (self.dim - 1, 3):
             raise ValueError("interference must have shape (dim - 1, 3)")
-        if self.dim < 2:
-            raise ValueError("qudit dimension must be at least 2")
         # In Python floats: at d = 2..14 cheaper than numpy's per-call overhead.
         values = self.populations.tolist() + self.interference.ravel().tolist()
         if not all(map(math.isfinite, values)):

@@ -57,18 +57,17 @@ def _require_finite(values, what: str) -> None:
 def psi_phase(i1: float, i2: float, i3: float) -> float:
     """Fringe phase in (-pi, pi] from the three stepped intensities.
 
-    Raises DegenerateFringe when neither intensity difference exceeds
-    DEGENERATE_FRACTION times the largest intensity, the fraction that
-    reconstruct_from_frames also applies per pixel.
+    Raises DegenerateFringe unless the modulation hypot(I_1 - I_2, I_3 - I_2)
+    exceeds DEGENERATE_FRACTION times the largest intensity: the rule by which
+    reconstruct_from_frames keeps a pixel.
     """
     _require_finite((i1, i2, i3), "intensities")
     d1 = float(i1) - float(i2)
     d3 = float(i3) - float(i2)
     eps = DEGENERATE_FRACTION * max(abs(float(i1)), abs(float(i2)), abs(float(i3)))
-    if max(abs(d1), abs(d3)) <= eps:
-        raise DegenerateFringe(
-            f"intensity differences {d1:.3e}, {d3:.3e} below threshold {eps:.3e}"
-        )
+    modulation = float(np.hypot(d1, d3))  # numpy's, as reconstruct_from_frames takes it
+    if not modulation > eps:
+        raise DegenerateFringe(f"fringe modulation {modulation:.3e} not above {eps:.3e}")
     phase = math.atan2(d3, d1)
     return math.pi if phase == -math.pi else phase
 
@@ -174,13 +173,20 @@ def certify_purity(
         raise ValueError("populations and visibilities must be 1-D")
     r = np.broadcast_to(np.asarray(ref_population, dtype=float), p.shape)
     _require_finite((p, g, r), "populations, visibilities and reference levels")
-    _require_finite(tau, "tau")
-    return _purity_check(p, g, r, ref_index, float(tau))
+    return _purity_check(p, g, r, ref_index, tau)
 
 
-def _purity_check(p, g, r, ref_index: int, tau: float) -> PurityCheck:
-    """certify_purity on finite float arrays, unchecked; ``r`` may be a float.  One
-    pass in Python floats: at d = 2..14 cheaper than numpy calls, and rounded alike."""
+def _slack(tau, name: str = "tau") -> float:
+    """The purity slack as a float; refused unless finite and non-negative."""
+    if not 0.0 <= float(tau) < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and non-negative, got {tau!r}")
+    return float(tau)
+
+
+def _purity_check(p, g, r, ref_index: int, tau) -> PurityCheck:
+    """certify_purity on finite float arrays; ``r`` may be a float.  One pass in
+    Python floats: at d = 2..14 cheaper than numpy calls, and rounded alike."""
+    tau = _slack(tau)
     p, g = p.tolist(), g.tolist()
     r = [r] * len(p) if isinstance(r, float) else r.tolist()
     eps = WEAK_FRACTION * max(p, default=0.0)
@@ -290,10 +296,8 @@ def _report(amps, pops, gamma, ref_level, r: int, tau, plan: str) -> Reconstruct
     The canonical phase (pivot floor scaled to the norm) comes before the one
     normalize, so the state is built once.
     """
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
     state = normalize(_canonical_phase(amps, PHASE_PIVOT * _norm(amps)))
-    verdict = _purity_check(pops, gamma, ref_level, r, float(tau))
+    verdict = _purity_check(pops, gamma, ref_level, r, tau)
     gamma.setflags(write=False)
     return ReconstructionReport(
         state=state,

@@ -68,6 +68,17 @@ def test_simulate_requires_dim_or_state_file(tmp_path):
     assert main(["simulate", "--seed", "1", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_simulate_refuses_a_dim_the_state_file_contradicts(tmp_path, capsys):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(haar_random(3, seed=9).to_dict()))
+    capsys.readouterr()
+    code = main(["simulate", "--state-file", str(state_path), "--dim", "4", "--seed", "4",
+                 "--out-dir", str(tmp_path / "frames")])
+    assert code == EXIT_CONFIG
+    assert "--dim disagrees with the state file" in capsys.readouterr().err
+    assert not list((tmp_path / "frames").glob("frame_*"))
+
+
 def test_simulate_from_state_file_with_extra_slit(tmp_path):
     psi = haar_random(3, seed=9)
     state_path = tmp_path / "state.json"
@@ -155,6 +166,43 @@ def test_degenerate_fringe_exit_code(tmp_path):
     assert code == EXIT_DEGENERATE
 
 
+def _sidecar_removed(where):
+    (where / "frame_2.json").unlink()
+
+
+def _not_p5(where):
+    (where / "frame_1.pgm").write_bytes(b"P2\n2 1\n255\n0 0\n")
+
+
+def _truncated(where):
+    pgm = where / "frame_3.pgm"
+    pgm.write_bytes(pgm.read_bytes()[:-1])
+
+
+@pytest.mark.parametrize(
+    "spoil, names",
+    [(None, "no frame_*.pgm files in"), (_sidecar_removed, "missing sidecar"),
+     (_not_p5, "frame_1.pgm is not a binary (P5) PGM file"), (_truncated, "frame_3.pgm is truncated")],
+    ids=["empty", "sidecar-removed", "not-p5", "truncated"],
+)
+def test_reconstruct_refuses_a_broken_frames_dir(tmp_path, capsys, spoil, names):
+    """A frames directory without frames, with a frame whose sidecar is
+    missing, or with a PGM that is not binary or is cut short: exit 2 with
+    an error that says so, and no report."""
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    if spoil is not None:
+        save_frames(frames_dir, render_frames(haar_random(2, seed=1), OpticalConfig.for_dim(2),
+                                              seed=1), seed=1)
+        spoil(frames_dir)
+    capsys.readouterr()
+    code = main(["reconstruct", "--frames-dir", str(frames_dir), "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_sweep_writes_deterministic_outputs(tmp_path):
     args = ["sweep", "--dim", "2", "--trials", "6", "--seed", "3", "--photons", "1e4"]
     a, b = tmp_path / "a", tmp_path / "b"
@@ -239,10 +287,11 @@ def test_figure_bloch_needs_the_whole_bloch_sweep(tmp_path, sweep, rows_kept):
 
 
 @pytest.mark.parametrize("mode", ["hist", "bloch"])
-@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.25", "abc", "no-column"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.25", "abc", "no-column", "no-rows"])
 def test_figure_refuses_non_physical_fidelities(tmp_path, capsys, mode, value):
-    """A fidelity outside [0, 1], one that is not a number, or no fidelity
-    column at all: exit 2 with an error that names the CSV, and no SVG."""
+    """A fidelity outside [0, 1], one that is not a number, no fidelity
+    column at all, or a header without rows: exit 2 with an error that names
+    the CSV, and no SVG."""
     out = tmp_path / "sweep"
     assert main(["sweep", "--dim", "2", "--source", "bloch", "--trials", "4", "--seed", "1",
                  "--out-dir", str(out)]) == EXIT_OK
@@ -250,6 +299,8 @@ def test_figure_refuses_non_physical_fidelities(tmp_path, capsys, mode, value):
     lines = csv_path.read_text().splitlines(keepends=True)
     if value == "no-column":
         lines[0] = lines[0].replace("fidelity", "fid")
+    elif value == "no-rows":
+        lines = lines[:1]
     else:
         row = lines[2].split(",")
         row[2] = value
@@ -280,8 +331,9 @@ def test_sweep_flag_errors_do_not_name_the_config(tmp_path, capsys, flags):
 @pytest.mark.parametrize(
     "cfg, names",
     [({"dim": 1}, "qudit dimension must be at least 2"),
-     ({"noise": {"photons_per_frame": -5}}, "photons_per_frame must be")],
-    ids=["dim", "photons"],
+     ({"noise": {"photons_per_frame": -5}}, "photons_per_frame must be"),
+     ({"source": "mystery"}, "unknown source 'mystery'")],
+    ids=["dim", "photons", "source"],
 )
 def test_sweep_config_errors_name_the_config(tmp_path, capsys, cfg, names):
     """A bad value in the --config file names the file, even when a flag
@@ -534,6 +586,8 @@ def _bloch_summary(where, text):
         (_sweep_config, '{"optical": {"n_slits": 2, "ref_index": false, "image_dims": [128, 120], '
                         '"roi_layout": [[40, 56, 10, 16], [70, 56, 10, 16]]}}', "integer"),
         (_frame_sidecar, _sidecar(step=True), "integer"),
+        (_outcomes_file, '{"dim": 0, "ref_index": 0, "populations": [], "interference": []}',
+         "qudit dimension must be at least 2"),
     ],
     ids=["state-list", "state-re-object", "state-no-dim", "state-dim-float", "outcomes-list",
          "outcomes-dim-list", "outcomes-empty", "outcomes-bad-reference",
@@ -542,7 +596,7 @@ def _bloch_summary(where, text):
          "optical-slits-list", "optical-image-dims-float", "config-truncated", "sidecar-list",
          "sidecar-roi-number", "sidecar-no-roi", "sidecar-step-float", "sidecar-step-7",
          "sidecar-image-dims-wrong", "summary-list", "state-dim-true", "outcomes-reference-true",
-         "config-trials-true", "optical-reference-false", "sidecar-step-true"],
+         "config-trials-true", "optical-reference-false", "sidecar-step-true", "outcomes-dim-0"],
 )
 def test_json_input_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, write, text, names):
     """Every JSON file the CLI reads: a value of the wrong shape or a missing

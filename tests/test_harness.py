@@ -1,7 +1,9 @@
 """Batch runner, seeding, calibration, and report writer tests."""
 
 import json
+import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from psitomo import (
     write_trials_csv,
 )
 from psitomo import harness
-from psitomo.errors import Unattainable, WeakReference
-from psitomo.harness import OUTCOME_CHUNK, _streams
+from psitomo.errors import AllZero, Unattainable, WeakReference
+from psitomo.harness import CALIBRATION_MAX_PROBES, OUTCOME_CHUNK, _streams
 
 
 def spec_of(dim=3, n=8, **kw):
@@ -78,6 +80,26 @@ def test_generate_states_bloch_and_explicit():
     assert generate_states(explicit) == [psi]
 
 
+@pytest.mark.parametrize(
+    "kind, n, states, names",
+    [("mystery", 3, None, "unknown state source kind"), ("haar", 0, None, "at least one state"),
+     ("explicit", 1, None, "explicit sources carry states"),
+     ("haar", 1, (haar_random(2, seed=1),), "explicit sources carry states")],
+    ids=["unknown-kind", "no-states", "explicit-without-states", "haar-with-states"],
+)
+def test_state_source_validation(kind, n, states, names):
+    with pytest.raises(ValueError, match=names):
+        StateSource(kind, n, states)
+
+
+def test_states_of_another_dimension_are_refused():
+    two = [haar_random(2, seed=1)]
+    with pytest.raises(ValueError, match="explicit state dimension differs from spec.dim"):
+        generate_states(ExperimentSpec(dim=3, source=StateSource.explicit(two), root_seed=0))
+    with pytest.raises(ValueError, match="state dimension differs from spec.dim"):
+        run_trial(two[0], spec_of(dim=3), seed=1)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(dim=3, source=StateSource.bloch(4), root_seed=0)
@@ -126,6 +148,14 @@ def test_trial_budgets_by_mode():
     assert budgets[("frames", "fixed")] == 16
     assert budgets[("frames", "adaptive")] == 16
     assert budgets[("frames", "extra_slit")] == 20
+
+
+def test_all_zero_adaptive_outcome_draw_fails_where_counts_are_normalized():
+    # At 0.1 photons the populations of seed 0's draw are all zero; adaptive
+    # mode has no strongest slit, and the outcomes cannot be normalized.
+    spec = spec_of(dim=3, n=1, reference_mode="adaptive", noise=NoiseModel(photons_per_frame=0.1))
+    with pytest.raises(AllZero, match="cannot normalize outcomes with zero total counts"):
+        run_trial(haar_random(3, seed=1), spec, seed=0)
 
 
 def test_adaptive_mode_rescues_empty_first_slit():
@@ -352,6 +382,51 @@ def test_calibrate_noise_rejects_silly_target(monkeypatch):
         with pytest.raises(ValueError, match="tol"):
             calibrate_noise(0.99, 2, spec_of(dim=2), trials=10, tol=tol)
     assert probes == []
+
+
+def fake_profile(monkeypatch, mean_fidelity):
+    """Replace run_batch by a mean fidelity of the photon budget; returns the
+    list of probed specs."""
+    probes = []
+
+    def fake(spec, workers=1):
+        probes.append(spec)
+        return SimpleNamespace(mean_fidelity=mean_fidelity(spec.noise.photons_per_frame))
+
+    monkeypatch.setattr(harness, "run_batch", fake)
+    return probes
+
+
+@pytest.mark.parametrize("source", ["haar", "explicit"])
+def test_calibrate_noise_bisects_toward_the_target_from_both_sides(monkeypatch, source):
+    """F = 1 - 10/N meets 0.995 +/- 1e-4 for N in [1961, 2041]: from the
+    bracket ends, bisection in log10 N first moves the upper end down, then
+    the lower end up, until a probe lands inside.  Every probe reruns the same
+    states: an explicit template's own, or ``trials`` fresh ones of its kind."""
+    states = tuple(haar_random(2, seed=s) for s in range(3))
+    template = ExperimentSpec(
+        dim=2, root_seed=11, noise=NoiseModel(phase_step_jitter_sd=0.05),
+        source=StateSource.explicit(states) if source == "explicit" else StateSource.haar(1))
+    probes = fake_profile(monkeypatch, lambda n: 1.0 - 10.0 / n)
+    result = calibrate_noise(0.995, 2, template, trials=7, tol=1e-4)
+    want = [2, 10, 6, 4, 3, 3.5, 3.25, 3.375, 3.3125, 3.28125, 3.296875]
+    budgets = [spec.noise.photons_per_frame for spec in probes]
+    assert [math.log10(n) for n in budgets] == pytest.approx(want, rel=0, abs=1e-12)
+    assert (result.evaluations, result.photons_per_frame) == (len(want), budgets[-1])
+    assert result.achieved_mean_fidelity == 1.0 - 10.0 / budgets[-1]
+    assert result.noise.phase_step_jitter_sd == 0.05
+    expected = template.source if source == "explicit" else StateSource.haar(7)
+    assert all(spec.source == expected for spec in probes)
+    assert len({spec.root_seed for spec in probes}) == 1
+
+
+def test_calibrate_noise_gives_up_after_its_probe_budget(monkeypatch):
+    # A step from 0.9 to 1.0 at 1e3 photons: the bracket attains 0.95, but no
+    # probe lands within 0.01 of it, so bisection stops after its last probe.
+    probes = fake_profile(monkeypatch, lambda n: 0.9 if n < 1e3 else 1.0)
+    with pytest.raises(Unattainable, match=f"within {CALIBRATION_MAX_PROBES} probes"):
+        calibrate_noise(0.95, 2, spec_of(dim=2), trials=10, tol=0.01)
+    assert len(probes) == CALIBRATION_MAX_PROBES + 2 == 82
 
 
 @pytest.mark.parametrize(

@@ -423,6 +423,15 @@ def test_pgm_rejects_out_of_range(tmp_path):
         write_pgm(tmp_path / "bad.pgm", np.array([[-1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_refuses_non_finite_pixels(tmp_path, bad):
+    # NaN compares False both ways, so a range test alone would pass it on.
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match="pixel values"):
+        write_pgm(path, np.array([[bad, 3.0]]))
+    assert not path.exists()
+
+
 def test_save_and_load_frames_round_trip(tmp_path):
     psi = haar_random(3, seed=14)
     cfg = OpticalConfig.for_dim(3)

@@ -141,6 +141,10 @@ def test_outcomes_validation():
     bad[1, 2] = -0.1
     with pytest.raises(ValueError, match="negative"):
         ProjectorOutcomes(3, 0, pops, bad, kind="count")
+    # The dimension is checked first, so that no index or shape fault hides it.
+    for dim in (0, -1, 1):
+        with pytest.raises(ValueError, match="qudit dimension must be at least 2"):
+            ProjectorOutcomes(dim, 0, np.zeros(max(dim, 0)), np.zeros((max(dim - 1, 0), 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

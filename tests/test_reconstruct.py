@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from psitomo import (
     ExperimentSpec,
+    Interferogram,
     NoiseModel,
     OpticalConfig,
     ProjectorSpec,
@@ -63,6 +66,14 @@ def test_psi_phase_returns_positive_pi_on_the_branch_cut():
 def test_psi_phase_degenerate_raises():
     with pytest.raises(DegenerateFringe):
         psi_phase(1.0, 1.0, 1.0)
+
+
+def test_psi_phase_judges_the_modulation_not_the_larger_difference():
+    # Each difference is 0.9e-6 of the peak, but their hypot is 1.27e-6 of it:
+    # a pixel reconstruct_from_frames keeps, so psi_phase gives its phase.
+    assert psi_phase(1 + 0.9e-6, 1.0, 1 + 0.9e-6) == pytest.approx(math.pi / 4, abs=1e-9)
+    with pytest.raises(DegenerateFringe):
+        psi_phase(1 + 0.7e-6, 1.0, 1 + 0.7e-6)  # hypot 0.99e-6 of the peak
 
 
 def test_psi_visibility_round_trip():
@@ -148,6 +159,25 @@ NAN = float("nan")
 def test_helpers_reject_non_finite_input(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("tau", [NAN, math.inf, -math.inf, -0.5, -1e-12])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tau: certify_purity([0.5, 0.5], [1.0, 1.0], 0.5, ref_index=0, tau=tau),
+        lambda tau: reconstruct_from_outcomes(exact_outcomes(haar_random(4, seed=1)), tau=tau),
+        lambda tau: reconstruct_from_frames(
+            render_frames(haar_random(3, seed=1), OpticalConfig.for_dim(3)), tau=tau),
+        lambda tau: ExperimentSpec(dim=3, source=StateSource.haar(2), root_seed=0, tau_purity=tau),
+    ],
+    ids=["certify_purity", "reconstruct_from_outcomes", "reconstruct_from_frames", "spec"],
+)
+def test_every_entry_refuses_the_same_purity_slack(entry, tau):
+    """The slack tau is refused unless finite and non-negative, by one rule
+    wherever it enters; a negative one would call exact pure data mixed."""
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        entry(tau)
 
 
 # ------------------------------------------------------------ purity
@@ -300,6 +330,59 @@ def test_frame_reconstruction_validates_frame_set():
         reconstruct_from_frames(frames + [frames[1]])
     with pytest.raises(ValueError):
         reconstruct_from_frames(frames[:4], calibration=frames[1])
+
+
+def test_frame_reconstruction_refuses_frames_of_two_configurations():
+    psi = haar_random(3, seed=52)
+    cfg = OpticalConfig.for_dim(3)
+    frames = render_frames(psi, cfg, include_calibration=True)
+    moved = render_frames(psi, cfg.with_reference(1), include_calibration=True)
+    with pytest.raises(ValueError, match="frames disagree on the optical configuration"):
+        reconstruct_from_frames(frames[:3] + moved[3:4])
+    with pytest.raises(ValueError, match="calibration frame disagrees"):
+        reconstruct_from_frames(frames[:4], calibration=moved[4])
+
+
+def row_frames(rows, widths):
+    """The four frames of a one-row image whose ROIs are ``widths`` pixels wide,
+    side by side; ``rows[s]`` is frame s's pixel row."""
+    starts = np.cumsum([0, *widths])
+    cfg = OpticalConfig(n_slits=len(widths), image_dims=(1, int(starts[-1])),
+                        roi_layout=tuple((int(x), 0, w, 1) for x, w in zip(starts, widths)),
+                        ref_envelope=(1.0,) * len(widths), envelope_kind="custom")
+    return [Interferogram(s, np.array([row], dtype=float), cfg) for s, row in enumerate(rows)]
+
+
+def test_reference_roi_whose_pixels_cancel_aborts():
+    # Both reference pixels are usable, but their fringes point opposite ways
+    # (d1 = +0.5 and -0.5, d3 = 0), so the ROI's phase is undefined.
+    rows = [[1.0, 1.0, 1.0], [1.5, 0.5, 1.5], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0]]
+    with pytest.raises(DegenerateFringe, match="reference ROI 0 phase is undefined"):
+        reconstruct_from_frames(row_frames(rows, (2, 1)))
+
+
+@given(st.floats(1e-3, 1e3), st.floats(-math.pi, math.pi),
+       st.one_of(st.floats(0.5, 2.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9)))
+@example(1.0, math.pi / 4, 0.9 * math.sqrt(2.0))  # psi_phase(1 + 0.9e-6, 1, 1 + 0.9e-6)
+def test_psi_phase_fails_exactly_where_a_one_pixel_reference_roi_is_unusable(i2, phi, ratio):
+    """Non-negative triples whose modulation lies near DEGENERATE_FRACTION of
+    the level: psi_phase raises exactly when reconstruct_from_frames, given
+    the triple as its one-pixel reference ROI, finds no usable pixel there."""
+    m = ratio * 1e-6 * i2
+    i1, i3 = i2 + m * math.cos(phi), i2 + m * math.sin(phi)
+    rows = [[i2, 1.0], [i1, 1.5], [i2, 1.0], [i3, 1.0]]  # slit 1 has a clear fringe
+    try:
+        reconstruct_from_frames(row_frames(rows, (1, 1)))
+        unusable = False
+    except DegenerateFringe as exc:
+        assert "no usable fringe modulation" in str(exc)
+        unusable = True
+    try:
+        psi_phase(i1, i2, i3)
+        raised = False
+    except DegenerateFringe:
+        raised = True
+    assert raised == unusable
 
 
 def test_degenerate_reference_roi_aborts():
