@@ -229,11 +229,8 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
     if photons > 0.0:
         tables = count_rng.poisson(tables * photons).astype(float)
 
-    def trial(j):
-        outcomes = ProjectorOutcomes(amps.shape[1], int(ref[j]), measured[j], tables[j], kind=kind)
-        return reconstruct_from_outcomes(outcomes, tau=spec.tau_purity)
-
-    return trial
+    rows = ProjectorOutcomes._rows(amps.shape[1], ref, measured, tables, kind)
+    return lambda j: reconstruct_from_outcomes(rows[j], tau=spec.tau_purity)
 
 
 def _frames_run(states, spec: ExperimentSpec, seeds):

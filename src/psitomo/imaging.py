@@ -410,7 +410,9 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick
             image += obj_power
         if frame.step_index != 0:
             image[geo.rows] += geo.profile**2
-        image = background(image)
+        # A zero expectation draws no random number: draw the lit pixels only.
+        flat, lit = image.ravel(), np.flatnonzero(image + noise.dark_rate)
+        flat[lit] = background(flat[lit])
         image[geo.rows, geo.cols] = frame.pixels
         full.append(Interferogram(frame.step_index, image, config))
     return full

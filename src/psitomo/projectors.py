@@ -20,7 +20,6 @@ exactly three shots per slit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,26 +68,21 @@ class ProjectorOutcomes:
     def __post_init__(self) -> None:
         self.populations = np.asarray(self.populations, dtype=float)
         self.interference = np.asarray(self.interference, dtype=float)
-        if self.dim < 2:
-            raise ValueError("qudit dimension must be at least 2")
-        if self.kind not in OUTCOME_KINDS:
-            raise ValueError(f"kind must be one of {OUTCOME_KINDS}")
-        if not 0 <= self.ref_index < self.dim:
-            raise BadIndex(f"reference index {self.ref_index} outside 0..{self.dim - 1}")
-        if self.populations.shape != (self.dim,):
-            raise ValueError("populations must have shape (dim,)")
-        if self.interference.shape != (self.dim - 1, 3):
-            raise ValueError("interference must have shape (dim - 1, 3)")
-        # In Python floats: at d = 2..14 cheaper than numpy's per-call overhead.
-        values = self.populations.tolist() + self.interference.ravel().tolist()
-        if not all(map(math.isfinite, values)):
-            raise ValueError("outcome values must be finite")
-        if min(values) < 0:
-            raise ValueError("outcome values cannot be negative")
-        if self.kind == "probability":
-            total = float(np.add.reduce(self.populations))
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"populations sum to {total:.17g}, expected 1")
+        _check_rows(self.dim, self.ref_index, self.populations, self.interference, self.kind)
+
+    @classmethod
+    def _rows(cls, dim, refs, populations, interference, kind) -> list["ProjectorOutcomes"]:
+        """An instance per row of n refs, (n, dim) populations and (n, dim - 1, 3) tables,
+        checked once; count rows of positive total come as probabilities."""
+        _check_rows(dim, refs, populations, interference, kind)
+        lit = np.zeros(len(refs), dtype=bool)
+        if kind == "count":
+            populations, interference, lit = _per_total(populations, interference)
+        rows = [cls.__new__(cls) for _ in range(len(refs))]  # no __post_init__: checked above
+        for row, r, p, t, scaled in zip(rows, refs.tolist(), populations, interference, lit):
+            row.dim, row.ref_index, row.populations, row.interference = dim, r, p, t
+            row.kind = "probability" if scaled else kind
+        return rows
 
     def normalized(self) -> "ProjectorOutcomes":
         """Counts rescaled so populations sum to one; probabilities pass through."""
@@ -100,10 +94,10 @@ class ProjectorOutcomes:
         """(populations, interference) rescaled so populations sum to one."""
         if self.kind == "probability":
             return self.populations, self.interference
-        total = float(np.add.reduce(self.populations))
-        if total <= 0.0:
+        pops, table, lit = _per_total(self.populations, self.interference)
+        if not lit:
             raise AllZero("cannot normalize outcomes with zero total counts")
-        return self.populations / total, self.interference / total
+        return pops, table
 
     def to_dict(self) -> dict:
         return {
@@ -123,6 +117,38 @@ class ProjectorOutcomes:
             interference=np.asarray(payload["interference"], dtype=float),
             kind=str(payload.get("kind", "probability")),
         )
+
+
+def _check_rows(dim, refs, populations, interference, kind) -> None:
+    """ProjectorOutcomes' checks on float arrays with the leading batch axes of ``refs``."""
+    if dim < 2:
+        raise ValueError("qudit dimension must be at least 2")
+    if kind not in OUTCOME_KINDS:
+        raise ValueError(f"kind must be one of {OUTCOME_KINDS}")
+    outside = np.extract((refs < 0) | (refs >= dim), refs)
+    if outside.size:
+        raise BadIndex(f"reference index {outside[0]} outside 0..{dim - 1}")
+    if populations.shape != np.shape(refs) + (dim,):
+        raise ValueError("populations must have shape (dim,)")
+    if interference.shape != np.shape(refs) + (dim - 1, 3):
+        raise ValueError("interference must have shape (dim - 1, 3)")
+    if not (np.isfinite(populations).all() and np.isfinite(interference).all()):
+        raise ValueError("outcome values must be finite")
+    if min(populations.min(), interference.min()) < 0:
+        raise ValueError("outcome values cannot be negative")
+    total = np.add.reduce(populations, axis=-1) if kind == "probability" else 1.0
+    off = np.extract(abs(total - 1.0) > 1e-9, total)
+    if off.size:
+        raise ValueError(f"populations sum to {off[0]:.17g}, expected 1")
+
+
+def _per_total(populations, interference):
+    """Populations and interference over their row's population total (the last axis of
+    populations) where that total is positive, and the mask of those rows."""
+    total = np.add.reduce(populations, axis=-1)
+    lit = total > 0.0
+    scale = np.where(lit, total, 1.0)[..., None]
+    return populations / scale, interference / scale[..., None], lit
 
 
 def projector_state(spec: ProjectorSpec, slit: int, step: int) -> PureState:

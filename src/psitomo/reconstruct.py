@@ -34,8 +34,8 @@ from .states import PHASE_PIVOT, PureState, _canonical_phase, _norm, normalize
 #: strongest population.
 WEAK_FRACTION = 1e-4
 
-#: Fringe differences below this fraction of the peak ROI intensity carry no
-#: recoverable phase.
+#: Fringe differences below this fraction of the peak absolute ROI intensity
+#: carry no recoverable phase.
 DEGENERATE_FRACTION = 1e-6
 
 #: Default slack on the visibility-vs-population purity test.
@@ -58,8 +58,8 @@ def psi_phase(i1: float, i2: float, i3: float) -> float:
     """Fringe phase in (-pi, pi] from the three stepped intensities.
 
     Raises DegenerateFringe unless the modulation hypot(I_1 - I_2, I_3 - I_2)
-    exceeds DEGENERATE_FRACTION times the largest intensity: the rule by which
-    reconstruct_from_frames keeps a pixel.
+    exceeds DEGENERATE_FRACTION times the largest absolute intensity: the rule
+    by which reconstruct_from_frames keeps a pixel.
     """
     _require_finite((i1, i2, i3), "intensities")
     d1 = float(i1) - float(i2)
@@ -359,7 +359,7 @@ def reconstruct_from_frames(
     d1 = roi1 - roi2
     d3 = roi3 - roi2
     modulation = np.hypot(d1, d3)
-    peak = per_slit(np.maximum(np.maximum(roi1, roi2), roi3), np.maximum)
+    peak = per_slit(np.maximum(np.maximum(abs(roi1), abs(roi2)), abs(roi3)), np.maximum)
     usable = modulation > np.repeat(DEGENERATE_FRACTION * peak, geo.widths)
 
     if calibration is not None:

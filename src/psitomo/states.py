@@ -201,9 +201,8 @@ def bloch_grid(n: int) -> list[PureState]:
     z = 1.0 - (2.0 * idx + 1.0) / n
     theta = np.arccos(np.clip(z, -1.0, 1.0))
     phi = GOLDEN_ANGLE * idx
-    c0 = np.cos(theta / 2.0)
-    c1 = np.exp(1j * phi) * np.sin(theta / 2.0)
-    return [PureState(np.array([c0[i], c1[i]])) for i in range(n)]
+    amps = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)
+    return [PureState(row, _owned=True) for row in amps]
 
 
 def bloch_vector(psi: PureState) -> np.ndarray:

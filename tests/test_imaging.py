@@ -26,6 +26,8 @@ from psitomo.imaging import (
     CALIBRATION_STEP,
     DISPLAY_PHASE_SD,
     _dc_total,
+    _geometry,
+    _object_amplitudes,
     _render,
     annotate_rois,
 )
@@ -390,6 +392,51 @@ def test_closed_form_dc_total_matches_full_image_sum(dim, envelope, extra):
 
 
 # ---------------------------------------------------------------- file io
+
+
+def dense_full_frames(psi, config, noise, seed):
+    """The five full frames with each background drawn over every pixel: one
+    Poisson draw per frame over the whole image, from the fourth child of the
+    seed, with the band frame written into the ROIs afterwards."""
+    geo = _geometry(config)
+    band = render_frames(psi, config, noise, seed, include_calibration=True, roi_band=True)
+    amps = _object_amplitudes(psi, config.n_slits)
+    obj_power = np.zeros(config.image_dims[1])
+    obj_power[geo.cols] = np.abs(np.repeat(amps, geo.widths)) ** 2
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
+    scale = noise.photons_per_frame / _dc_total(amps, config)
+    frames = []
+    for frame in band:
+        image = np.zeros(config.image_dims)
+        if frame.step_index != CALIBRATION_STEP:
+            image += obj_power
+        if frame.step_index != 0:
+            image[geo.rows] += geo.profile**2
+        if noise.photons_per_frame > 0:
+            image = rng.poisson(scale * image + noise.dark_rate).astype(float)
+        image[geo.rows, geo.cols] = frame.pixels
+        frames.append(image)
+    return frames
+
+
+@pytest.mark.parametrize("extra", [False, True])
+@pytest.mark.parametrize(
+    "noise",
+    [NoiseModel.bench_defaults(1e5), NoiseModel(1e4, 0.1, dark_rate=0.5),
+     NoiseModel(dark_rate=0.5), NoiseModel()],
+    ids=["dark-0", "dark-0.5", "photons-0-dark", "noiseless"],
+)
+@pytest.mark.parametrize("amps", [[1.0, 0.0, 1.0j], [0.6, 0.0, 0.0, 0.8j, 0.0]],
+                         ids=["dim-3", "dim-5"])
+def test_lit_pixel_background_equals_a_dense_draw_bit_for_bit(amps, noise, extra):
+    # Empty slits leave whole columns dark at dark rate 0.
+    psi = normalize(np.array(amps))
+    config = OpticalConfig.for_dim(psi.dim, extra_reference=extra)
+    frames = render_frames(psi, config, noise, seed=31, include_calibration=True)
+    dense = dense_full_frames(psi, config, noise, 31)
+    assert [f.step_index for f in frames] == [0, 1, 2, 3, CALIBRATION_STEP]
+    for frame, image in zip(frames, dense):
+        assert frame.pixels.tobytes() == image.tobytes(), frame.step_index
 
 
 def test_pgm_round_trip(tmp_path):

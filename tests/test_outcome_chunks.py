@@ -154,8 +154,9 @@ def redrawn_rows(spec):
         (5, "fixed", 30.0, OUTCOME_CHUNK + 40, 3, {"WeakReference"}),
         (4, "extra_slit", 1e4, OUTCOME_CHUNK + 1, 2**40 + 7, set()),
         (3, "fixed", 0.0, 20, 6, set()),
+        (3, "fixed", 0.7, OUTCOME_CHUNK + 30, 23, {"AllZero"}),
     ],
-    ids=["adaptive-3", "fixed-30", "extra_slit-1e4", "fixed-noiseless"],
+    ids=["adaptive-3", "fixed-30", "extra_slit-1e4", "fixed-noiseless", "fixed-0.7"],
 )
 def test_rows_match_inversions_of_redrawn_streams(dim, mode, photons, n, root, reached):
     spec = haar_spec(dim, mode, photons, n, root)
@@ -194,3 +195,102 @@ def test_first_row_of_each_chunk_is_run_trial_on_its_seed(mode, photons):
             row.index, row.seed, None, row.pure, row.reference_used)
         assert abs(single.fidelity - row.fidelity) <= 1e-12
         assert np.allclose(single.recon_state.amps, row.recon_state.amps, rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------- rows checked once per chunk
+
+def chunk_arrays(dim, kind, n=40, seed=0):
+    """References, populations and interference tables of n outcome rows: Haar
+    states under jittered steps, as probabilities or Poisson counts at 30
+    photons, where row 3 is all zero and row 5 has an empty reference."""
+    rng = np.random.default_rng(seed)
+    refs = rng.integers(0, dim, n)
+    states = [normalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+              for _ in range(n)]
+    pops = np.array([np.abs(psi.amps) ** 2 for psi in states])
+    phases = np.add(STEP_PHASES, 0.1 * rng.standard_normal((n, 3)))
+    tables = np.array([interference_probs(psi, int(r), theta)
+                       for psi, r, theta in zip(states, refs, phases)])
+    if kind == "count":
+        pops = rng.poisson(30 * pops).astype(float)
+        tables = rng.poisson(30 * tables).astype(float)
+        pops[3], tables[3] = 0.0, 0.0
+        pops[5, refs[5]] = 0.0
+    return refs, pops, tables
+
+
+def report_or_error(outcomes):
+    try:
+        return reconstruct_from_outcomes(outcomes, tau=0.02)
+    except TomographyError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("dim", [2, 5, 14, 64])
+@pytest.mark.parametrize("kind", ["count", "probability"])
+def test_chunk_rows_report_as_rows_checked_one_at_a_time(dim, kind):
+    refs, pops, tables = chunk_arrays(dim, kind, seed=dim)
+    rows = ProjectorOutcomes._rows(dim, refs, pops, tables, kind)
+    assert len(rows) == len(refs)
+    errors = set()
+    for j, row in enumerate(rows):
+        got = report_or_error(row)
+        want = report_or_error(ProjectorOutcomes(dim, int(refs[j]), pops[j], tables[j], kind=kind))
+        if isinstance(want, str):
+            assert got == want, j
+            errors.add(want)
+            continue
+        assert got.state.amps.tobytes() == want.state.amps.tobytes(), j
+        assert got.per_slit_visibility.tobytes() == want.per_slit_visibility.tobytes(), j
+        assert got.purity_verdict.margins.tobytes() == want.purity_verdict.margins.tobytes(), j
+        assert got.purity_verdict.bound.tobytes() == want.purity_verdict.bound.tobytes(), j
+        assert (got.purity_verdict.pure, got.purity_verdict.unverifiable, got.reference_used,
+                got.outcome_budget) == (want.purity_verdict.pure, want.purity_verdict.unverifiable,
+                                        want.reference_used, want.outcome_budget), j
+    assert errors == ({"AllZero", "WeakReference"} if kind == "count" else set())
+
+
+def first_error(make):
+    with pytest.raises(Exception) as info:
+        make()
+    return type(info.value), str(info.value)
+
+
+def spoil(what, refs, pops, tables):
+    """The chunk arrays with row 2 (or the whole chunk, for shapes) made invalid."""
+    refs, pops, tables = refs.copy(), pops.copy(), tables.copy()
+    if what == "nan-population":
+        pops[2, 1] = math.nan
+    elif what == "inf-interference":
+        tables[2, 0, 1] = math.inf
+    elif what == "negative-population":
+        pops[2, 0] = -1e-300
+    elif what == "negative-interference":
+        tables[2, -1, 2] = -0.5
+    elif what == "reference-too-large":
+        refs[2] = pops.shape[1]
+    elif what == "reference-negative":
+        refs[2] = -1
+    elif what == "population-shape":
+        pops = np.concatenate([pops, pops[:, :1]], axis=1)
+    elif what == "interference-shape":
+        tables = tables[:, :, :2]
+    elif what == "population-sum":
+        pops[2] *= 1.0 + 1e-8
+    return refs, pops, tables
+
+
+@pytest.mark.parametrize("what", [
+    "nan-population", "inf-interference", "negative-population", "negative-interference",
+    "reference-too-large", "reference-negative", "population-shape", "interference-shape",
+    "population-sum", "kind", "dim"])
+def test_chunk_check_refuses_what_one_row_refuses_with_its_message(what):
+    dim, kind = 4, "probability"
+    refs, pops, tables = spoil(what, *chunk_arrays(dim, kind, n=6))
+    if what == "kind":
+        kind = "photons"
+    if what == "dim":
+        dim, refs, pops, tables = 1, refs * 0, pops[:, :1], tables[:, :0]
+    one = first_error(lambda: ProjectorOutcomes(dim, int(refs[2]), pops[2], tables[2], kind=kind))
+    assert one == first_error(lambda: ProjectorOutcomes._rows(dim, refs, pops, tables, kind))
+

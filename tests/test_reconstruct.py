@@ -385,6 +385,41 @@ def test_psi_phase_fails_exactly_where_a_one_pixel_reference_roi_is_unusable(i2,
     assert raised == unusable
 
 
+def degenerate_in_both(i1, i2, i3):
+    """Whether psi_phase raises DegenerateFringe on the triple, and whether
+    reconstruct_from_frames finds no usable pixel in it as a one-pixel
+    reference ROI; slit 1 has a clear fringe."""
+    rows = [[i2, 1.0], [i1, 1.5], [i2, 1.0], [i3, 1.0]]
+    verdicts = []
+    for invert in (lambda: psi_phase(i1, i2, i3),
+                   lambda: reconstruct_from_frames(row_frames(rows, (1, 1)))):
+        try:
+            invert()
+            verdicts.append(False)
+        except DegenerateFringe as exc:
+            assert "phase is undefined" not in str(exc)
+            verdicts.append(True)
+    return verdicts
+
+
+@given(st.floats(-1e3, -1e-3), st.floats(-math.pi, math.pi),
+       st.one_of(st.floats(0.5, 2.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9), st.floats(1e-4, 1e-2)))
+def test_negative_triples_are_degenerate_alike_in_psi_phase_and_a_reference_roi(i2, phi, ratio):
+    """Triples of negative intensities whose modulation lies near
+    DEGENERATE_FRACTION of their largest absolute value: both rules take the
+    threshold from that value, so they raise on the same triples."""
+    m = ratio * 1e-6 * abs(i2)
+    psi_raised, roi_unusable = degenerate_in_both(i2 + m * math.cos(phi), i2,
+                                                  i2 + m * math.sin(phi))
+    assert psi_raised == roi_unusable
+
+
+@pytest.mark.parametrize("triple", [(-2.0 + 1e-9, -2.0, -2.0), (-2.0, -2.0 + 1e-9, -2.0),
+                                    (-1.0, -1.0, -1.0 + 3e-7), (-5.0, -5.0 + 4e-6, -5.0 + 4e-6)])
+def test_a_barely_modulated_negative_triple_is_degenerate_in_both(triple):
+    assert degenerate_in_both(*triple) == [True, True]
+
+
 def test_degenerate_reference_roi_aborts():
     # all weight on slit 1, reference fixed at slit 0: its ROI shows no fringe
     psi = normalize(np.array([0.0, 1.0]))

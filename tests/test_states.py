@@ -102,6 +102,19 @@ def test_bloch_grid_states_are_unit_vectors_on_sphere():
         assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 31, 1024])
+def test_bloch_grid_equals_its_per_point_construction_bit_for_bit(n):
+    idx = np.arange(n)
+    theta = np.arccos(np.clip(1.0 - (2.0 * idx + 1.0) / n, -1.0, 1.0))
+    c0 = np.cos(theta / 2.0)
+    c1 = np.exp(1j * (np.pi * (3.0 - np.sqrt(5.0)) * idx)) * np.sin(theta / 2.0)
+    states = bloch_grid(n)
+    assert len(states) == n
+    for i, psi in enumerate(states):
+        assert psi.amps.tobytes() == np.array([c0[i], c1[i]]).tobytes()
+        assert not psi.amps.flags.writeable
+
+
 def test_bloch_vector_frozen_example():
     # (|0> + i|1>)/sqrt(2) points along +y
     psi = normalize(np.array([1.0, 1.0j]))
