@@ -288,16 +288,16 @@ def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -
 def _record(psi: PureState, spec: ExperimentSpec, seed, index, outcome) -> TrialResult:
     """The result of a trial from its ReconstructionReport, or the failed-trial
     record of the TomographyError it raised."""
-    known = dict(index=index, dim=spec.dim, seed=int(seed), true_state=psi)
+    # Fields in TrialResult's order, passed by position.
     if isinstance(outcome, TomographyError):
-        return TrialResult(**known, fidelity=0.0, pure=False, reference_used=-1,
-                           outcome_budget=0, error=type(outcome).__name__, recon_state=None)
+        return TrialResult(index, spec.dim, int(seed), 0.0, False, -1, 0,
+                           type(outcome).__name__, psi, None)
     recon = outcome.state
     if recon.dim > psi.dim:  # drop the appended reference slit
         recon = normalize(recon.amps[: psi.dim])
-    return TrialResult(**known, fidelity=fidelity(psi, recon), pure=outcome.purity_verdict.pure,
-                       reference_used=outcome.reference_used,
-                       outcome_budget=outcome.outcome_budget, error=None, recon_state=recon)
+    return TrialResult(index, spec.dim, int(seed), fidelity(psi, recon),
+                       outcome.purity_verdict.pure, outcome.reference_used,
+                       outcome.outcome_budget, None, psi, recon)
 
 
 def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,9 +165,11 @@ def normalize(amps) -> PureState:
     arr = np.asarray(amps, dtype=np.complex128)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D amplitude vector of length >= 2")
-    if np.maximum.reduce(np.abs(arr)) < 1e-15:
+    norm = _norm(arr)
+    # Every |c_k| < 1e-15 bounds the norm by sqrt(d) * 1e-15; the factor 2 absorbs rounding.
+    if norm <= 2e-15 * math.sqrt(arr.size) and np.maximum.reduce(np.abs(arr)) < 1e-15:
         raise ZeroVector("cannot normalize a zero amplitude vector")
-    return PureState(arr / _norm(arr), _owned=True)
+    return PureState(arr / norm, _owned=True)
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -193,8 +196,15 @@ def bloch_grid(n: int) -> list[PureState]:
 
     Point i sits at height z_i = 1 - (2i + 1)/n (so the lattice mean of z is
     exactly zero) with azimuth i * GOLDEN_ANGLE, and maps to the state
-    (cos(theta/2), e^{i phi} sin(theta/2)) with theta = arccos(z).
+    (cos(theta/2), e^{i phi} sin(theta/2)) with theta = arccos(z).  Each size
+    is built once per process; every call returns a new list of the same
+    immutable states.
     """
+    return list(_bloch_lattice(n))
+
+
+@lru_cache(maxsize=8)
+def _bloch_lattice(n: int) -> tuple[PureState, ...]:
     if n < 1:
         raise ValueError("need at least one lattice point")
     idx = np.arange(n)
@@ -202,7 +212,7 @@ def bloch_grid(n: int) -> list[PureState]:
     theta = np.arccos(np.clip(z, -1.0, 1.0))
     phi = GOLDEN_ANGLE * idx
     amps = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)
-    return [PureState(row, _owned=True) for row in amps]
+    return tuple(PureState(row, _owned=True) for row in amps)
 
 
 def bloch_vector(psi: PureState) -> np.ndarray:

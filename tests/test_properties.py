@@ -34,7 +34,7 @@ from psitomo import (
     run_trial,
     sample_counts,
 )
-from psitomo.errors import AllZero, WeakReference
+from psitomo.errors import AllZero, WeakReference, ZeroVector
 from psitomo.pgmio import PGM_MAXVAL, read_pgm, write_pgm
 from psitomo.projectors import OUTCOME_KINDS
 from psitomo.reconstruct import PURITY_FLOOR, WEAK_FRACTION
@@ -303,3 +303,85 @@ def test_reconstruct_from_outcomes_follows_its_formula_slit_by_slit(dim, seed, k
     np.testing.assert_array_equal(report.per_slit_visibility, gamma)
     assert report.reference_used == ref and report.outcome_budget == 4 * dim - 3
     assert_follows_purity_rule(report.purity_verdict, purity_rule(p, gamma, [p[ref]] * dim, ref, tau))
+
+
+def normalize_max_modulus_first(amps):
+    """normalize with its zero check written the plain way: the max-modulus
+    test on every call, then division by _norm."""
+    arr = np.asarray(amps, dtype=np.complex128)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("need a 1-D amplitude vector of length >= 2")
+    if np.maximum.reduce(np.abs(arr)) < 1e-15:
+        raise ZeroVector("cannot normalize a zero amplitude vector")
+    return PureState(arr / _norm(arr), _owned=True)
+
+
+def outcome_of(fn, arr):
+    """fn(arr)'s amplitude bytes, or the type and message of the ValueError
+    or ZeroVector it raised; floating-point warnings are silenced so that
+    only results compare."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(arr).amps.tobytes()
+        except (ValueError, ZeroVector) as exc:
+            return type(exc), str(exc)
+
+
+#: Parts of any size, NaN and ±inf, subnormals, and values around the 1e-15
+#: zero threshold and the 2 sqrt(d) 1e-15 norm bound.
+amplitude_parts = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(-1e-13, 1e-13)
+    | st.floats(-1e-300, 1e-300)
+    | st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 9e-16, 1e-15, 1.1e-15, 2e-15, 1.0])
+)
+
+
+@given(st.integers(2, 64).flatmap(
+    lambda d: st.tuples(arrays(np.float64, d, elements=amplitude_parts),
+                        arrays(np.float64, d, elements=amplitude_parts))))
+@example((np.full(64, 9e-16), np.zeros(64)))  # norm 7.2e-15, every entry below 1e-15
+@example((np.full(2, np.nan), np.zeros(2)))
+@example((np.array([np.inf, 1.0]), np.zeros(2)))
+@example((np.array([1e-200, 1e-200]), np.zeros(2)))
+def test_normalize_matches_its_max_modulus_first_form(parts):
+    """Same bytes, or the same exception with the same message."""
+    arr = np.empty(parts[0].size, dtype=np.complex128)
+    arr.real, arr.imag = parts
+    assert outcome_of(normalize, arr) == outcome_of(normalize_max_modulus_first, arr)
+
+
+def test_normalize_refuses_entries_below_the_floor_whose_norm_is_above_it():
+    tiny = np.full(64, 9e-16)
+    assert _norm(tiny.astype(complex)) == pytest.approx(7.2e-15)
+    with pytest.raises(ZeroVector):
+        normalize(tiny)
+
+
+def canonical_reference(amps, floor):
+    """The documented canonical phase: the first amplitude with modulus above
+    floor becomes real positive through one global rotation by
+    exp(-i angle(pivot)), the pivot set to its modulus; with no such
+    amplitude, or a pivot already at angle zero, amps come back unchanged."""
+    mags = np.abs(amps)
+    above = [k for k in range(amps.size) if mags[k] > floor]
+    if not above or np.angle(amps[above[0]]) == 0.0:
+        return amps
+    rotated = amps * np.exp(-1j * np.angle(amps[above[0]]))
+    rotated[above[0]] = mags[above[0]]
+    return rotated
+
+
+@given(st.integers(2, 64), seeds, st.integers(0, 64), st.sampled_from([PHASE_PIVOT, 1e-3, 0.3]),
+       st.floats(-np.pi, np.pi))
+def test_canonical_phase_matches_its_reference_bit_for_bit(dim, seed, faint, floor, phi):
+    """A Haar vector turned by 32 global phases, a leading run of it scaled
+    below the floor (or all of it, leaving no pivot), at several floors."""
+    base = haar_random(dim, seed).amps
+    for turn in phi + np.arange(32) * (2.0 * np.pi / 32):
+        amps = base * np.exp(1j * turn)
+        amps[: min(faint, dim)] *= floor * 1e-2
+        once = _canonical_phase(amps, floor)
+        assert once.tobytes() == canonical_reference(amps, floor).tobytes()
+        # A second pass meets a pivot at angle zero.
+        assert _canonical_phase(once, floor).tobytes() == canonical_reference(once, floor).tobytes()

@@ -20,6 +20,7 @@ from psitomo import (
     purity,
 )
 from psitomo.errors import ZeroVector
+from psitomo.states import _bloch_lattice
 
 
 def test_pure_state_requires_unit_norm():
@@ -102,17 +103,19 @@ def test_bloch_grid_states_are_unit_vectors_on_sphere():
         assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 31, 1024])
+@pytest.mark.parametrize("n", [1, 2, 16, 31, 1024])
 def test_bloch_grid_equals_its_per_point_construction_bit_for_bit(n):
     idx = np.arange(n)
     theta = np.arccos(np.clip(1.0 - (2.0 * idx + 1.0) / n, -1.0, 1.0))
     c0 = np.cos(theta / 2.0)
     c1 = np.exp(1j * (np.pi * (3.0 - np.sqrt(5.0)) * idx)) * np.sin(theta / 2.0)
-    states = bloch_grid(n)
-    assert len(states) == n
-    for i, psi in enumerate(states):
-        assert psi.amps.tobytes() == np.array([c0[i], c1[i]]).tobytes()
-        assert not psi.amps.flags.writeable
+    _bloch_lattice.cache_clear()
+    for _ in range(2):  # the first call builds the lattice, the second reads the cache
+        states = bloch_grid(n)
+        assert len(states) == n
+        for i, psi in enumerate(states):
+            assert psi.amps.tobytes() == np.array([c0[i], c1[i]]).tobytes()
+            assert not psi.amps.flags.writeable
 
 
 def test_bloch_vector_frozen_example():
@@ -184,3 +187,23 @@ def test_state_dict_round_trip():
     psi = haar_random(9, seed=3)
     again = PureState.from_dict(psi.to_dict())
     assert fidelity(psi, again) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_bloch_grid_returns_a_new_list_each_call():
+    first = bloch_grid(16)
+    second = bloch_grid(16)
+    assert first is not second and first == second  # the same state objects, in new lists
+    first.reverse()
+    first[0] = normalize(np.array([1.0, 1.0]))
+    del first[1:]
+    third = bloch_grid(16)
+    assert third == second and len(third) == 16
+    assert all(not psi.amps.flags.writeable for psi in third)
+
+
+def test_bloch_grid_sizes_do_not_collide():
+    for n in (16, 17, 1, 16, 17, 2, 1):
+        states = bloch_grid(n)
+        assert len(states) == n
+        fresh = _bloch_lattice.__wrapped__(n)  # built again, past the cache
+        assert [psi.amps.tobytes() for psi in states] == [psi.amps.tobytes() for psi in fresh]
