@@ -268,15 +268,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WeakReference as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WEAK_REFERENCE
-    except DegenerateFringe as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (TomographyError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, WeakReference):
+            return EXIT_WEAK_REFERENCE
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateFringe) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ reference inside that render.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -45,9 +46,6 @@ _CALIBRATION_TAG = 0x43414C
 # Nonzero: SeedSequence zero-pads keys to four words, so [root, c, 0] would
 # be trial_seed's key [root, c].
 _CHUNK_TAG = 0x43484B
-
-#: Bisection probes calibrate_noise makes after probing both bracket ends.
-CALIBRATION_MAX_PROBES = 80
 
 
 @dataclass(frozen=True)
@@ -381,7 +379,8 @@ def calibrate_noise(
     the same derived seed so the profile is smooth.  ``dim`` must be the
     template's.  Raises Unattainable when the bracket cannot reach the
     target, e.g. when step jitter alone already costs more fidelity than the
-    target allows.
+    target allows, or when the next log10 midpoint is not strictly inside the
+    bracket or gives a budget already probed (which could only repeat its miss).
     """
     if dim != template.dim:
         raise ValueError(f"dim {dim} differs from the template's dim {template.dim}")
@@ -390,8 +389,8 @@ def calibrate_noise(
     if not 0.0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     lo, hi = (float(bracket[0]), float(bracket[1]))
-    if not 0.0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < low < high")
+    if not 0.0 < lo < hi < math.inf:  # NaN fails too
+        raise ValueError(f"bracket must satisfy 0 < low < high < inf, got {bracket!r}")
 
     probe_root = trial_seed(template.root_seed, _CALIBRATION_TAG)
     if template.source.kind == "explicit":
@@ -402,9 +401,15 @@ def calibrate_noise(
     target = target_mean_fidelity
     log_lo, log_hi = math.log10(lo), math.log10(hi)
     f_lo = math.nan
+    probed = set()
     # Probe both ends of the bracket first, then bisect in log10(photons).
-    for evals in range(1, CALIBRATION_MAX_PROBES + 3):
-        photons = (lo, hi)[evals - 1] if evals <= 2 else 10.0 ** (0.5 * (log_lo + log_hi))
+    for evals in itertools.count(1):
+        mid = 0.5 * (log_lo + log_hi)
+        photons = (lo, hi)[evals - 1] if evals <= 2 else 10.0 ** mid
+        if evals > 2 and (not log_lo < mid < log_hi or photons in probed):
+            raise Unattainable(f"bracket log10(photons) in [{log_lo!r}, {log_hi!r}] collapsed at "
+                               f"{photons!r} photons without reaching {target} +/- {tol}")
+        probed.add(photons)
         noise = template.noise.with_photons(photons)
         fid = run_batch(replace(base, noise=noise)).mean_fidelity
         if abs(fid - target) <= tol:
@@ -421,6 +426,3 @@ def calibrate_noise(
             log_lo = math.log10(photons)
         else:
             log_hi = math.log10(photons)
-    raise Unattainable(
-        f"bisection did not reach {target} +/- {tol} within {CALIBRATION_MAX_PROBES} probes"
-    )

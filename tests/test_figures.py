@@ -38,3 +38,9 @@ def test_histogram_figure_bar_count():
 def test_histogram_is_text_stable():
     fids = [0.991, 0.993, 0.997, 1.0]
     assert histogram_figure(fids) == histogram_figure(fids)
+
+
+
+def test_histogram_figure_refuses_no_fidelities():
+    with pytest.raises(ValueError, match="need at least one fidelity"):
+        histogram_figure([])

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psitomo import (
     ExperimentSpec,
@@ -26,7 +28,7 @@ from psitomo import (
 )
 from psitomo import harness
 from psitomo.errors import AllZero, Unattainable, WeakReference
-from psitomo.harness import CALIBRATION_MAX_PROBES, OUTCOME_CHUNK, _streams
+from psitomo.harness import OUTCOME_CHUNK, CalibrationResult, _streams
 
 
 def spec_of(dim=3, n=8, **kw):
@@ -391,6 +393,8 @@ def fake_profile(monkeypatch, mean_fidelity):
 
     def fake(spec, workers=1):
         probes.append(spec)
+        # Fail a calibration that never stops here, before it fills memory.
+        assert len(probes) <= 100, "calibrate_noise is still probing after 100 budgets"
         return SimpleNamespace(mean_fidelity=mean_fidelity(spec.noise.photons_per_frame))
 
     monkeypatch.setattr(harness, "run_batch", fake)
@@ -420,13 +424,173 @@ def test_calibrate_noise_bisects_toward_the_target_from_both_sides(monkeypatch, 
     assert len({spec.root_seed for spec in probes}) == 1
 
 
-def test_calibrate_noise_gives_up_after_its_probe_budget(monkeypatch):
-    # A step from 0.9 to 1.0 at 1e3 photons: the bracket attains 0.95, but no
-    # probe lands within 0.01 of it, so bisection stops after its last probe.
-    probes = fake_profile(monkeypatch, lambda n: 0.9 if n < 1e3 else 1.0)
-    with pytest.raises(Unattainable, match=f"within {CALIBRATION_MAX_PROBES} probes"):
+def step_at(threshold):
+    """Mean fidelity 0.9 below ``threshold`` photons and 1.0 from it on."""
+    return lambda n: 0.9 if n < threshold else 1.0
+
+
+def test_calibrate_noise_stops_when_its_bracket_collapses(monkeypatch):
+    # The bracket attains 0.95, but no probe lands within 0.01 of it, so
+    # bisection closes in on 1e3 until the next midpoint gives 1e3 again.
+    probes = fake_profile(monkeypatch, step_at(1e3))
+    with pytest.raises(Unattainable, match=r"collapsed at 1000\.0 photons"):
         calibrate_noise(0.95, 2, spec_of(dim=2), trials=10, tol=0.01)
-    assert len(probes) == CALIBRATION_MAX_PROBES + 2 == 82
+    budgets = [spec.noise.photons_per_frame for spec in probes]
+    assert len(budgets) == len(set(budgets)) == 56
+
+
+@pytest.mark.parametrize(
+    "bracket, step, evaluations",
+    [((5e-324, 1.7e308), 1e3, 62), ((1e-300, 1e300), 1e3, 63), ((0.1, 10.0), 1.0, 57),
+     ((1.0, 1.0 + 2**-52), 1.0 + 2**-52, 2),
+     ((1.6237395841684439e-100, 1.178127599039542e112), 6.07694340153764, 63)],
+    ids=["subnormal-to-max", "1e-300-to-1e300", "around-1", "adjacent-floats", "edge-midpoint"],
+)
+def test_calibrate_noise_stops_on_extreme_brackets(monkeypatch, bracket, step, evaluations):
+    """Subnormal, huge and unit-straddling brackets collapse without repeating
+    a budget.  Adjacent floats have no midpoint; the last bracket ends on two
+    adjacent log10 values whose midpoint is an end, though its budget, the
+    step itself, was never probed."""
+    probes = fake_profile(monkeypatch, step_at(step))
+    with pytest.raises(Unattainable, match="collapsed"):
+        calibrate_noise(0.95, 2, spec_of(dim=2), trials=10, tol=0.01, bracket=bracket)
+    budgets = [spec.noise.photons_per_frame for spec in probes]
+    assert len(budgets) == len(set(budgets)) == evaluations
+
+
+def test_calibrate_noise_stops_on_random_brackets(monkeypatch):
+    """1000 log-uniform brackets from the smallest subnormal to 1.7e308, each
+    with a miss-both-sides step somewhere inside."""
+    rng = np.random.default_rng(19)
+    template = spec_of(dim=2)
+    for _ in range(1000):
+        e_lo, e_hi = np.sort(rng.uniform(-323.3, 308.2, size=2))
+        lo, hi = 10.0 ** e_lo, 10.0 ** e_hi
+        probes = fake_profile(monkeypatch, step_at(10.0 ** rng.uniform(e_lo, e_hi)))
+        with pytest.raises(Unattainable, match="collapsed"):
+            calibrate_noise(0.95, 2, template, trials=10, tol=0.01, bracket=(lo, hi))
+        budgets = [spec.noise.photons_per_frame for spec in probes]
+        assert len(budgets) == len(set(budgets)) <= 70
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [(1e2, math.inf), (0.0, 1.0), (1e3, 1e2), (math.nan, 1e3), (1e2, math.nan)],
+)
+def test_calibrate_noise_refuses_a_bad_bracket_before_probing(monkeypatch, bracket):
+    probes = fake_profile(monkeypatch, step_at(1e3))
+    with pytest.raises(ValueError, match=r"bracket must satisfy 0 < low < high < inf, got \("):
+        calibrate_noise(0.95, 2, spec_of(dim=2), trials=10, tol=0.01, bracket=bracket)
+    assert probes == []
+
+
+def capped_bisection(mean_fidelity, target, tol, lo, hi):
+    """calibrate_noise's bisection as it stood with an 80-probe cap and no
+    collapse stop.  Returns ((photons, fidelity, evaluations) or None for
+    Unattainable, the probed budgets)."""
+    budgets = []
+    log_lo, log_hi = math.log10(lo), math.log10(hi)
+    f_lo = math.nan
+    for evals in range(1, 80 + 3):
+        photons = (lo, hi)[evals - 1] if evals <= 2 else 10.0 ** (0.5 * (log_lo + log_hi))
+        budgets.append(photons)
+        fid = mean_fidelity(photons)
+        if abs(fid - target) <= tol:
+            return (photons, fid, evals), budgets
+        if evals == 1:
+            f_lo = fid
+        elif evals == 2:
+            if f_lo > target or fid < target:
+                return None, budgets
+        elif fid < target:
+            log_lo = math.log10(photons)
+        else:
+            log_hi = math.log10(photons)
+    return None, budgets
+
+
+# Profiles of the photon budget N, drawn as functions of the bracket's log10
+# ends (e_lo, e_hi) so that their features fall inside it.
+def _smooth(a, v):
+    """1 - a - b/N, with b at the fraction v of the bracket in log10."""
+    return lambda e_lo, e_hi: lambda n: 1.0 - a - 10.0 ** (e_lo + v * (e_hi - e_lo)) / n
+
+
+def _steps(edges, levels):
+    """Rising steps: the i-th smallest level from the i-th edge on, edges as
+    bracket fractions."""
+    def profile(e_lo, e_hi):
+        cuts = sorted(e_lo + v * (e_hi - e_lo) for v in edges)
+        return lambda n: sorted(levels)[sum(math.log10(n) >= c for c in cuts)]
+    return profile
+
+
+def _wavy(low, rise, amp, cycles):
+    """Non-monotone: a rise across the bracket plus ``cycles`` sine periods."""
+    def profile(e_lo, e_hi):
+        def mean_fidelity(n):
+            u = (math.log10(n) - e_lo) / (e_hi - e_lo)
+            return low + rise * u + amp * math.sin(2 * math.pi * cycles * u)
+        return mean_fidelity
+    return profile
+
+
+def _flat(level):
+    return lambda e_lo, e_hi: lambda n: level
+
+
+_fraction = st.floats(0.0, 1.0)
+_fidelity_profiles = st.one_of(
+    st.builds(_smooth, st.floats(0.0, 0.05), _fraction),
+    st.integers(1, 4).flatmap(lambda k: st.builds(
+        _steps, st.lists(_fraction, min_size=k, max_size=k),
+        st.lists(_fraction, min_size=k + 1, max_size=k + 1))),
+    st.builds(_wavy, st.floats(0.5, 0.7), st.floats(0.05, 0.3), st.floats(0.0, 0.05),
+              st.floats(0.5, 10.0)),
+    st.builds(_flat, _fraction),
+)
+
+
+def _targets(f_lo, f_hi):
+    """Any target, or one between the bracket ends' mean fidelities, which
+    the bracket attains."""
+    low, high = max(min(f_lo, f_hi), 0.01), min(max(f_lo, f_hi), 0.999)
+    anywhere = st.floats(0.01, 0.999)
+    return st.one_of(anywhere, st.floats(low, high)) if low < high else anywhere
+
+
+@settings(max_examples=200)
+@given(
+    profile=_fidelity_profiles,
+    exponents=st.lists(st.floats(-323.3, 308.2), min_size=2, max_size=2, unique=True),
+    tol=st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e),
+    data=st.data(),
+)
+def test_calibrate_noise_matches_capped_bisection(profile, exponents, tol, data):
+    """Where the capped loop returns, the result and probes are identical;
+    where it gives up, calibrate_noise gives up too, on a prefix of its
+    probes, with no budget probed twice."""
+    e_lo, e_hi = sorted(exponents)
+    lo, hi = 10.0 ** e_lo, 10.0 ** e_hi
+    assume(lo < hi)
+    profile = profile(e_lo, e_hi)
+    target = data.draw(_targets(profile(lo), profile(hi)), label="target")
+    want, want_budgets = capped_bisection(profile, target, tol, lo, hi)
+    template = spec_of(dim=2)
+    with pytest.MonkeyPatch.context() as mp:
+        probes = fake_profile(mp, profile)
+        try:
+            got = calibrate_noise(target, 2, template, trials=3, tol=tol, bracket=(lo, hi))
+        except Unattainable:
+            got = None
+    budgets = [spec.noise.photons_per_frame for spec in probes]
+    if want is None:
+        assert got is None
+        assert budgets == want_budgets[: len(budgets)]
+        assert len(budgets) == len(set(budgets)) <= min(len(want_budgets), 70)
+    else:
+        assert got == CalibrationResult(template.noise.with_photons(want[0]), *want)
+        assert budgets == want_budgets
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ The flat-envelope oracles use the closed form |c_k + e^{-i delta}|^2
 with delta = pi/2 (step - 1/2), evaluated by hand.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,40 @@ def test_interferogram_validates_shape_and_freezes_pixels():
     frame = render_frames(haar_random(2, seed=0), cfg)[0]
     with pytest.raises(ValueError):
         frame.pixels[0, 0] = 1.0
+
+
+_CFG3 = OpticalConfig.for_dim(3)  # ROIs (40|70|100, 56, 10, 16) in a 128x150 image
+
+
+def _with_roi(k, roi):
+    layout = list(_CFG3.roi_layout)
+    layout[k] = roi
+    return replace(_CFG3, roi_layout=tuple(layout))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: replace(_CFG3, n_slits=1), "need at least two slits"),
+        (lambda: replace(_CFG3, ref_index=3), r"ref_index 3 outside 0\.\.2"),
+        (lambda: replace(_CFG3, envelope_kind="gauss"), "envelope_kind must be one of"),
+        (lambda: replace(_CFG3, image_dims=(0, 150)), "image dimensions must be positive"),
+        (lambda: replace(_CFG3, roi_layout=_CFG3.roi_layout[:2]), "one ROI per slit"),
+        (lambda: _with_roi(0, (40, 56, 0, 16)), "ROI width and height must be positive"),
+        (lambda: _with_roi(0, (-1, 56, 10, 16)), r"ROI \(-1, 56, 10, 16\) leaves the image"),
+        (lambda: _with_roi(1, (70, 57, 10, 16)), "share the single reference band row"),
+        (lambda: replace(_CFG3, envelope_kind="custom", ref_envelope=(1.0, 0.5)),
+         "one envelope value per slit"),
+        (lambda: replace(_CFG3, envelope_kind="custom", ref_envelope=(0.0, 1.0, 1.0)),
+         "envelope must be positive at the reference slit"),
+        (lambda: OpticalConfig.for_dim(1), "qudit dimension must be at least 2"),
+    ],
+    ids=["one-slit", "ref-index", "envelope-kind", "image-dims", "roi-count", "roi-width",
+         "roi-outside", "roi-row", "envelope-count", "dark-reference", "for-dim-1"],
+)
+def test_optical_config_validation(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # ---------------------------------------------------------------- rendering
@@ -476,6 +512,14 @@ def test_pgm_refuses_non_finite_pixels(tmp_path, bad):
     path = tmp_path / "bad.pgm"
     with pytest.raises(ValueError, match="pixel values"):
         write_pgm(path, np.array([[bad, 3.0]]))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("pixels", [np.zeros(3), np.zeros((1, 2, 2))], ids=["1-D", "3-D"])
+def test_write_pgm_refuses_an_image_that_is_not_2d(tmp_path, pixels):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match="PGM image must be 2-D"):
+        write_pgm(path, pixels)
     assert not path.exists()
 
 

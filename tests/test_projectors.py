@@ -22,7 +22,7 @@ from psitomo import (
     projector_state,
     sample_counts,
 )
-from psitomo.errors import AllZero, BadIndex
+from psitomo.errors import AllZero, BadIndex, DimensionMismatch
 from psitomo.states import DensityMatrix, depolarized
 
 
@@ -202,3 +202,24 @@ def test_measurement_plan_budgets(d):
 def test_measurement_plan_rejects_unknown_mode():
     with pytest.raises(ValueError):
         measurement_plan(3, "bogus")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ProjectorSpec(1), ValueError, "qudit dimension must be at least 2"),
+        (lambda: ProjectorSpec(3, ref_index=3), BadIndex, r"reference index 3 outside 0\.\.2"),
+        (lambda: interference_probs(haar_random(3, seed=0), 3, STEP_PHASES), BadIndex,
+         r"reference index 3 outside 0\.\.2"),
+        (lambda: exact_outcomes(haar_random(3, seed=0), ProjectorSpec(2)), DimensionMismatch,
+         "state dim 3 != spec dim 2"),
+        (lambda: exact_outcomes_mixed(DensityMatrix.maximally_mixed(3), ProjectorSpec(2)),
+         DimensionMismatch, "state dim 3 != spec dim 2"),
+        (lambda: measurement_plan(1, "adaptive"), ValueError, "qudit dimension must be at least 2"),
+    ],
+    ids=["spec-dim-1", "spec-ref-index", "interference-ref-index", "exact-dims",
+         "exact-mixed-dims", "plan-dim-1"],
+)
+def test_projector_validation(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -130,6 +130,23 @@ def test_choose_reference():
         choose_reference([-0.1, 0.2])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: circular_mean([0.1, 0.2], weights=[0.0, 0.0]), "weights must have positive sum"),
+        (lambda: choose_reference([]), "need at least one population"),
+        (lambda: certify_purity([0.5, 0.5], [1.0], 0.5, ref_index=0),
+         "populations and visibilities must have the same length"),
+        (lambda: certify_purity(np.ones((2, 2)), np.ones((2, 2)), 0.5, ref_index=0),
+         "populations and visibilities must be 1-D"),
+    ],
+    ids=["zero-weights", "no-populations", "length-mismatch", "2-D"],
+)
+def test_reconstruct_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 NAN = float("nan")
 
 

@@ -19,7 +19,7 @@ from psitomo import (
     normalize,
     purity,
 )
-from psitomo.errors import ZeroVector
+from psitomo.errors import DimensionMismatch, ZeroVector
 from psitomo.states import _bloch_lattice
 
 
@@ -207,3 +207,33 @@ def test_bloch_grid_sizes_do_not_collide():
         assert len(states) == n
         fresh = _bloch_lattice.__wrapped__(n)  # built again, past the cache
         assert [psi.amps.tobytes() for psi in states] == [psi.amps.tobytes() for psi in fresh]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: PureState(np.eye(2)), ValueError, "amplitudes must form a 1-D vector"),
+        (lambda: PureState([1.0]), ValueError, "qudit dimension must be at least 2"),
+        (lambda: PureState.from_dict({"dim": 3, "re": [1.0, 0.0], "im": [0.0, 0.0]}),
+         ValueError, "re/im length does not match dim"),
+        (lambda: DensityMatrix(np.ones((1, 2))), ValueError, "density matrix must be square"),
+        (lambda: DensityMatrix([[1.0]]), ValueError, "qudit dimension must be at least 2"),
+        (lambda: DensityMatrix(np.diag([1.5, -0.5])), ValueError,
+         r"negative eigenvalue -5\.000e-01"),
+        (lambda: DensityMatrix.maximally_mixed(1), ValueError, "qudit dimension must be at least 2"),
+        (lambda: normalize(np.ones((2, 2))), ValueError, "1-D amplitude vector of length >= 2"),
+        (lambda: haar_random(1, seed=0), ValueError, "qudit dimension must be at least 2"),
+        (lambda: bloch_grid(0), ValueError, "need at least one lattice point"),
+        (lambda: bloch_vector(haar_random(3, seed=0)), DimensionMismatch, "dim 2 only"),
+        (lambda: fidelity_mixed(DensityMatrix.maximally_mixed(2), haar_random(3, seed=0)),
+         DimensionMismatch, "dims 2 and 3 differ"),
+        (lambda: depolarized(haar_random(2, seed=0), 1.5), ValueError,
+         r"mixing parameter must lie in \[0, 1\]"),
+    ],
+    ids=["pure-2-D", "pure-dim-1", "from-dict-length", "density-not-square", "density-dim-1",
+         "density-negative", "maximally-mixed-1", "normalize-2-D", "haar-dim-1", "bloch-grid-0",
+         "bloch-vector-dim-3", "fidelity-mixed-dims", "depolarized-1.5"],
+)
+def test_state_validation(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
