@@ -133,11 +133,11 @@ def cmd_reconstruct(args) -> int:
         report = reconstruct_from_outcomes(read_json(args.outcomes, ProjectorOutcomes.from_dict))
 
     report_path = out / args.report
-    write_json(report_path, report.to_dict())
-    verdict = "PURE" if report.purity_verdict.pure else "NOT_PURE"
+    payload = report.to_dict()
+    write_json(report_path, payload)
     print(
         f"dim {report.state.dim}, reference {report.reference_used}, "
-        f"budget {report.outcome_budget}, verdict {verdict}; report: {report_path}"
+        f"budget {report.outcome_budget}, verdict {payload['verdict']}; report: {report_path}"
     )
     return EXIT_OK
 

@@ -63,6 +63,8 @@ class StateSource:
             raise ValueError("state source must produce at least one state")
         if (self.kind == "explicit") != (self.states is not None):
             raise ValueError("explicit sources carry states; generated ones do not")
+        if self.states is not None and self.n != len(self.states):
+            raise ValueError(f"state source has n = {self.n} but carries {len(self.states)} states")
 
     @classmethod
     def haar(cls, n: int) -> "StateSource":
@@ -260,13 +262,21 @@ def _trials(states, spec: ExperimentSpec, seeds, indices, strict=False):
     failed-trial record, or propagates when ``strict``."""
     trial = (_frames_run if spec.pipeline == "frames" else _outcome_run)(states, spec, seeds)
     results = []
+    # Fields in TrialResult's order, passed by position.
     for j, psi in enumerate(states):
         try:
-            results.append(_record(psi, spec, seeds[j], indices[j], trial(j)))
+            report = trial(j)
+            recon = report.state
+            if recon.dim > psi.dim:  # drop the appended reference slit
+                recon = normalize(recon.amps[: psi.dim])
+            results.append(TrialResult(indices[j], spec.dim, int(seeds[j]), fidelity(psi, recon),
+                                       report.purity_verdict.pure, report.reference_used,
+                                       report.outcome_budget, None, psi, recon))
         except TomographyError as exc:
             if strict:
                 raise
-            results.append(_record(psi, spec, seeds[j], indices[j], exc))
+            results.append(TrialResult(indices[j], spec.dim, int(seeds[j]), 0.0, False, -1, 0,
+                                       type(exc).__name__, psi, None))
     return results
 
 
@@ -281,21 +291,6 @@ def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -
     if psi.dim != spec.dim:
         raise ValueError("state dimension differs from spec.dim")
     return _trials([psi], spec, [seed], [index], strict=True)[0]
-
-
-def _record(psi: PureState, spec: ExperimentSpec, seed, index, outcome) -> TrialResult:
-    """The result of a trial from its ReconstructionReport, or the failed-trial
-    record of the TomographyError it raised."""
-    # Fields in TrialResult's order, passed by position.
-    if isinstance(outcome, TomographyError):
-        return TrialResult(index, spec.dim, int(seed), 0.0, False, -1, 0,
-                           type(outcome).__name__, psi, None)
-    recon = outcome.state
-    if recon.dim > psi.dim:  # drop the appended reference slit
-        recon = normalize(recon.amps[: psi.dim])
-    return TrialResult(index, spec.dim, int(seed), fidelity(psi, recon),
-                       outcome.purity_verdict.pure, outcome.reference_used,
-                       outcome.outcome_budget, None, psi, recon)
 
 
 def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:

@@ -223,7 +223,7 @@ class Interferogram:
     def __post_init__(self) -> None:
         if not 0 <= self.step_index <= CALIBRATION_STEP:
             raise ValueError(f"step index {self.step_index} outside 0..4")
-        arr = np.asarray(self.pixels, dtype=float)
+        arr = np.asarray(self.pixels, dtype=float).view()  # the caller's array stays writeable
         if arr.shape != tuple(self.config.image_dims):
             raise ValueError("pixel array does not match the configured image size")
         if not np.isfinite(arr).all():

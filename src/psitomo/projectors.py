@@ -66,9 +66,12 @@ class ProjectorOutcomes:
     kind: str = "probability"
 
     def __post_init__(self) -> None:
-        self.populations = np.asarray(self.populations, dtype=float)
-        self.interference = np.asarray(self.interference, dtype=float)
+        # Read-only views: checked values cannot change; the caller's arrays stay writeable.
+        self.populations = np.asarray(self.populations, dtype=float).view()
+        self.interference = np.asarray(self.interference, dtype=float).view()
         _check_rows(self.dim, self.ref_index, self.populations, self.interference, self.kind)
+        for arr in (self.populations, self.interference):
+            arr.setflags(write=False)
 
     @classmethod
     def _rows(cls, dim, refs, populations, interference, kind) -> list["ProjectorOutcomes"]:
@@ -78,6 +81,9 @@ class ProjectorOutcomes:
         lit = np.zeros(len(refs), dtype=bool)
         if kind == "count":
             populations, interference, lit = _per_total(populations, interference)
+        populations, interference = populations.view(), interference.view()
+        for arr in (populations, interference):  # so every row's slices are read-only too
+            arr.setflags(write=False)
         rows = [cls.__new__(cls) for _ in range(len(refs))]  # no __post_init__: checked above
         for row, r, p, t, scaled in zip(rows, refs.tolist(), populations, interference, lit):
             row.dim, row.ref_index, row.populations, row.interference = dim, r, p, t

@@ -266,22 +266,17 @@ def reconstruct_from_outcomes(
     # zeros.  |z| stays numpy's, whose last bit math.hypot does not match.
     c_ref = math.sqrt(p_ref)
     scale = 1.0 / (_SQRT2 * c_ref)
-    others = _others(outcomes.dim, r)
-    amps, z = [complex(c_ref)] * outcomes.dim, []
-    for k, (i1, i2, i3) in zip(others, table.tolist()):
+    amps, z = [], []
+    for i1, i2, i3 in table.tolist():  # the slits other than r, ascending
         d1, d3 = i1 - i2, 0.0 + (i3 - i2)
-        amps[k] = complex((d1 + 0.0 * d3) * scale, -(d3 * scale))
+        amps.append(complex((d1 + 0.0 * d3) * scale, -(d3 * scale)))
         z.append(complex(d1, d3))
-    gamma = [1.0] * outcomes.dim
-    for k, modulus in zip(others, np.abs(np.array(z)).tolist()):
-        gamma[k] = modulus / (_SQRT2 * (0.5 * (p_ref + p[k])))
+    del p[r]
+    gamma = [modulus / (_SQRT2 * (0.5 * (p_ref + pk)))
+             for modulus, pk in zip(np.abs(np.array(z)).tolist(), p)]
+    amps.insert(r, complex(c_ref))
+    gamma.insert(r, 1.0)
     return _report(np.array(amps), pops, np.array(gamma), p_ref, r, tau, "adaptive")
-
-
-@lru_cache(maxsize=256)
-def _others(dim: int, r: int) -> tuple[int, ...]:
-    """The slits other than ``r``, ascending: the rows of an interference table."""
-    return tuple(k for k in range(dim) if k != r)
 
 
 @lru_cache(maxsize=256)

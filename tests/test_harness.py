@@ -86,8 +86,10 @@ def test_generate_states_bloch_and_explicit():
     "kind, n, states, names",
     [("mystery", 3, None, "unknown state source kind"), ("haar", 0, None, "at least one state"),
      ("explicit", 1, None, "explicit sources carry states"),
-     ("haar", 1, (haar_random(2, seed=1),), "explicit sources carry states")],
-    ids=["unknown-kind", "no-states", "explicit-without-states", "haar-with-states"],
+     ("haar", 1, (haar_random(2, seed=1),), "explicit sources carry states"),
+     ("explicit", 5, (haar_random(2, seed=1),), "n = 5 but carries 1 states")],
+    ids=["unknown-kind", "no-states", "explicit-without-states", "haar-with-states",
+         "explicit-n-not-its-states"],
 )
 def test_state_source_validation(kind, n, states, names):
     with pytest.raises(ValueError, match=names):

@@ -199,6 +199,16 @@ def test_interferogram_validates_shape_and_freezes_pixels():
         frame.pixels[0, 0] = 1.0
 
 
+def test_interferogram_leaves_the_callers_pixels_writeable():
+    cfg = flat_config(2)
+    buffer = np.zeros(cfg.image_dims)
+    frame = Interferogram(1, buffer, cfg)
+    assert np.shares_memory(buffer, frame.pixels)
+    buffer[0, 0] = 1.0  # a reused buffer stays writeable
+    with pytest.raises(ValueError, match="read-only"):
+        frame.pixels[0, 0] = 1.0
+
+
 _CFG3 = OpticalConfig.for_dim(3)  # ROIs (40|70|100, 56, 10, 16) in a 128x150 image
 
 

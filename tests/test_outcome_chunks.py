@@ -250,6 +250,17 @@ def test_chunk_rows_report_as_rows_checked_one_at_a_time(dim, kind):
     assert errors == ({"AllZero", "WeakReference"} if kind == "count" else set())
 
 
+@pytest.mark.parametrize("kind", ["count", "probability"])
+def test_chunk_rows_cannot_be_changed_after_the_check(kind):
+    refs, pops, tables = chunk_arrays(3, kind, n=6)
+    rows = ProjectorOutcomes._rows(3, refs, pops, tables, kind)
+    pops[0, 0], tables[0, 0, 0] = pops[0, 0], tables[0, 0, 0]  # the caller's arrays stay writeable
+    for row in rows:
+        for held in (row.populations, row.interference):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = math.nan
+
+
 def first_error(make):
     with pytest.raises(Exception) as info:
         make()

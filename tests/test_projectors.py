@@ -147,6 +147,17 @@ def test_outcomes_validation():
             ProjectorOutcomes(dim, 0, np.zeros(max(dim, 0)), np.zeros((max(dim - 1, 0), 3)))
 
 
+@pytest.mark.parametrize("kind", ["probability", "count"])
+def test_outcomes_hold_read_only_views_of_the_callers_arrays(kind):
+    pops, table = np.full(3, 1 / 3), np.full((2, 3), 0.1)
+    out = ProjectorOutcomes(3, 0, pops, table, kind=kind)
+    for mine, held in ((pops, out.populations), (table, out.interference)):
+        assert np.shares_memory(mine, held)
+        mine[0] = mine[0]  # the caller's array stays writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = np.nan
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_outcomes_reject_non_finite_values(bad):
     pops = np.array([0.5, 0.5])

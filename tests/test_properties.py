@@ -298,8 +298,9 @@ def test_reconstruct_from_outcomes_follows_its_formula_slit_by_slit(dim, seed, k
             z = np.array([complex(i1 - i2, i3 - i2)])
             amps[k] = np.conj(z / (math.sqrt(2.0) * c_ref))[0]
             gamma[k] = np.abs(z)[0] / (math.sqrt(2.0) * (0.5 * (p[ref] + p[k])))
-    expected = normalize(_canonical_phase(amps, PHASE_PIVOT * _norm(amps)))
-    assert report.state.amps.tobytes() == expected.amps.tobytes()
+    rotated = canonical_reference(amps, PHASE_PIVOT * np.linalg.norm(amps))
+    expected = rotated / np.linalg.norm(rotated)
+    assert report.state.amps.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(report.per_slit_visibility, gamma)
     assert report.reference_used == ref and report.outcome_budget == 4 * dim - 3
     assert_follows_purity_rule(report.purity_verdict, purity_rule(p, gamma, [p[ref]] * dim, ref, tau))
