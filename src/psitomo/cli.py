@@ -187,24 +187,20 @@ def cmd_figure(args) -> int:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"{args.csv} holds no trial rows")
-    try:
-        fids = np.array([float(r["fidelity"]) for r in rows])
-    except KeyError as exc:
-        raise ValueError(f"{args.csv}: missing column {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{args.csv}: {exc}") from None
-    # Written so that NaN fails the test too.
-    if not np.all((fids >= 0.0) & (fids <= 1.0)):
-        raise ValueError(f"{args.csv} holds fidelities that are not finite numbers in [0, 1]")
-    if args.mode == "hist":
-        svg = histogram_figure(fids)
-    else:
+    if args.mode == "bloch":
         # Row i is trial i of the lattice only in a whole dim-2 Bloch sweep.
         summary = read_json(Path(args.csv).with_name("summary.json"))
         made = [summary.get(key) for key in ("source", "dim", "n_trials")]
         if made != ["bloch_grid", 2, len(rows)]:
             raise ValueError(f"bloch figures need a whole dim-2 bloch sweep, not {made}")
-        svg = bloch_figure(bloch_grid(len(rows)), fids)
+        states = bloch_grid(len(rows))
+    try:
+        fids = [float(r["fidelity"]) for r in rows]
+        svg = bloch_figure(states, fids) if args.mode == "bloch" else histogram_figure(fids)
+    except KeyError as exc:
+        raise ValueError(f"{args.csv}: missing column {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.csv}: {exc}") from None
     fig_path = out / args.out
     fig_path.write_text(svg)
     print(f"wrote {fig_path}")

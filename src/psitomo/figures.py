@@ -41,6 +41,14 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
+def _fidelities(fidelities) -> np.ndarray:
+    """``fidelities`` as a float array, refused unless finite numbers in [0, 1]."""
+    fids = np.asarray(fidelities, dtype=float)
+    if not np.all((fids >= 0.0) & (fids <= 1.0)):  # written so that NaN fails too
+        raise ValueError("fidelities must be finite numbers in [0, 1]")
+    return fids
+
+
 def bloch_figure(states: list[PureState], fidelities) -> str:
     """Orthographic Bloch-sphere scatter, one marker per state, colored by fidelity.
 
@@ -48,7 +56,7 @@ def bloch_figure(states: list[PureState], fidelities) -> str:
     points are drawn first so the near side overplots them.  The annotation
     gives the mean and sd of ``fidelities``.
     """
-    fids = np.asarray(fidelities, dtype=float)
+    fids = _fidelities(fidelities)
     if len(states) != fids.size:
         raise ValueError("need one fidelity per state")
     size, radius = 480, 190
@@ -65,12 +73,8 @@ def bloch_figure(states: list[PureState], fidelities) -> str:
         f"mean F = {float(fids.mean()):.4f}, sd = {float(fids.std()):.4f}, "
         f"n = {fids.size}</text>",
     ]
-    order = []
-    for i, psi in enumerate(states):
-        x, y, z = bloch_vector(psi)
-        order.append((x, i, y, z))
-    order.sort(key=lambda item: (item[0], item[1]))
-    for x, i, y, z in order:
+    points = sorted((x, i, y, z) for i, (x, y, z) in enumerate(map(bloch_vector, states)))
+    for x, i, y, z in points:  # back to front: by x, then by index
         px = cx + y * radius
         py = cy - z * radius
         color = _ramp_color((float(fids[i]) - lo) / span)
@@ -87,7 +91,7 @@ def bloch_figure(states: list[PureState], fidelities) -> str:
 
 def histogram_figure(fidelities) -> str:
     """Bar histogram of fidelities in summary.json's HISTOGRAM_BINS bins, with summary text."""
-    fids = np.asarray(fidelities, dtype=float)
+    fids = _fidelities(fidelities)
     if fids.size == 0:
         raise ValueError("need at least one fidelity")
     edges = _histogram_edges(fids)

@@ -49,7 +49,7 @@ class ProjectorSpec:
             raise BadIndex(f"reference index {self.ref_index} outside 0..{self.dim - 1}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectorOutcomes:
     """Populations plus three interference values per non-reference slit.
 
@@ -66,9 +66,9 @@ class ProjectorOutcomes:
     kind: str = "probability"
 
     def __post_init__(self) -> None:
-        # Read-only views: checked values cannot change; the caller's arrays stay writeable.
-        self.populations = np.asarray(self.populations, dtype=float).view()
-        self.interference = np.asarray(self.interference, dtype=float).view()
+        # Read-only views of the caller's arrays, not copies: theirs stay writeable.
+        for name in ("populations", "interference"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).view())
         _check_rows(self.dim, self.ref_index, self.populations, self.interference, self.kind)
         for arr in (self.populations, self.interference):
             arr.setflags(write=False)
@@ -86,24 +86,18 @@ class ProjectorOutcomes:
             arr.setflags(write=False)
         rows = [cls.__new__(cls) for _ in range(len(refs))]  # no __post_init__: checked above
         for row, r, p, t, scaled in zip(rows, refs.tolist(), populations, interference, lit):
-            row.dim, row.ref_index, row.populations, row.interference = dim, r, p, t
-            row.kind = "probability" if scaled else kind
+            vars(row).update(dim=dim, ref_index=r, populations=p, interference=t,
+                             kind="probability" if scaled else kind)
         return rows
 
     def normalized(self) -> "ProjectorOutcomes":
         """Counts rescaled so populations sum to one; probabilities pass through."""
         if self.kind == "probability":
             return self
-        return ProjectorOutcomes(self.dim, self.ref_index, *self._probabilities())
-
-    def _probabilities(self) -> tuple[np.ndarray, np.ndarray]:
-        """(populations, interference) rescaled so populations sum to one."""
-        if self.kind == "probability":
-            return self.populations, self.interference
         pops, table, lit = _per_total(self.populations, self.interference)
         if not lit:
             raise AllZero("cannot normalize outcomes with zero total counts")
-        return pops, table
+        return ProjectorOutcomes(self.dim, self.ref_index, pops, table)
 
     def to_dict(self) -> dict:
         return {
@@ -203,18 +197,24 @@ def interference_probs(psi: PureState, ref_index: int, phases) -> np.ndarray:
     return _two_beam_table(np.abs(amps) ** 2, amps[ref_index] * np.conj(amps), ref_index, phases)
 
 
+def _exact(spec, pops, coherence) -> ProjectorOutcomes:
+    """Exact outcomes from the populations and the reference row ``coherence(r)``
+    of a state, for ``spec`` or, by default, slit 0 as reference."""
+    if spec is None:
+        spec = ProjectorSpec(pops.size)
+    if pops.size != spec.dim:
+        raise DimensionMismatch(f"state dim {pops.size} != spec dim {spec.dim}")
+    r = spec.ref_index
+    table = _two_beam_table(pops, coherence(r), r, STEP_PHASES)
+    return ProjectorOutcomes(spec.dim, r, np.clip(pops, 0.0, None), table)
+
+
 def exact_outcomes(psi: PureState, spec: ProjectorSpec | None = None) -> ProjectorOutcomes:
     """Exact Born-rule populations and interference table for a pure state.
 
     ``spec`` defaults to slit 0 as reference.
     """
-    if spec is None:
-        spec = ProjectorSpec(psi.dim)
-    if psi.dim != spec.dim:
-        raise DimensionMismatch(f"state dim {psi.dim} != spec dim {spec.dim}")
-    pops = np.abs(psi.amps) ** 2
-    table = interference_probs(psi, spec.ref_index, STEP_PHASES)
-    return ProjectorOutcomes(spec.dim, spec.ref_index, pops, table)
+    return _exact(spec, np.abs(psi.amps) ** 2, lambda r: psi.amps[r] * np.conj(psi.amps))
 
 
 def exact_outcomes_mixed(
@@ -226,14 +226,7 @@ def exact_outcomes_mixed(
     (rho_rr + rho_kk)/2 + Re{rho_rk e^{i theta_step}}, so reduced coherences
     show up directly as reduced fringe modulation.
     """
-    if spec is None:
-        spec = ProjectorSpec(rho.dim)
-    if rho.dim != spec.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != spec dim {spec.dim}")
-    r = spec.ref_index
-    pops = np.real(np.diag(rho.matrix))
-    table = _two_beam_table(pops, rho.matrix[r], r, STEP_PHASES)
-    return ProjectorOutcomes(spec.dim, r, np.clip(pops, 0.0, None), table)
+    return _exact(spec, np.real(np.diag(rho.matrix)), lambda r: rho.matrix[r])
 
 
 def sample_counts(outcomes: ProjectorOutcomes, noise, seed) -> ProjectorOutcomes:

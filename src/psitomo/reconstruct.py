@@ -25,7 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AllZero, DegenerateFringe, NonpositiveReference, WeakReference, ZeroResultant
+from .errors import (
+    AllZero, BadIndex, DegenerateFringe, NonpositiveReference, WeakReference, ZeroResultant,
+)
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, measurement_plan
 from .states import PHASE_PIVOT, PureState, _canonical_phase, _norm, normalize
@@ -114,6 +116,8 @@ def circular_mean(phases, weights=None) -> float:
 def choose_reference(populations) -> int:
     """Index of the strongest population; ties go to the lowest index."""
     pops = np.asarray(populations, dtype=float)
+    if pops.ndim != 1:
+        raise ValueError("populations must be 1-D")
     if pops.size == 0:
         raise ValueError("need at least one population")
     _require_finite(pops, "populations")
@@ -171,6 +175,8 @@ def certify_purity(
         raise ValueError("populations and visibilities must have the same length")
     if p.ndim != 1:
         raise ValueError("populations and visibilities must be 1-D")
+    if not (isinstance(ref_index, (int, np.integer)) and 0 <= ref_index < p.size):
+        raise BadIndex(f"reference index {ref_index!r} is not an integer in 0..{p.size - 1}")
     r = np.broadcast_to(np.asarray(ref_population, dtype=float), p.shape)
     _require_finite((p, g, r), "populations, visibilities and reference levels")
     return _purity_check(p, g, r, ref_index, tau)
@@ -251,8 +257,8 @@ def reconstruct_from_outcomes(
     is.  Raises WeakReference when the reference population falls below
     1e-4 of the strongest one.
     """
-    pops, table = outcomes._probabilities()
-    r = outcomes.ref_index
+    probs = outcomes.normalized()
+    pops, table, r = probs.populations, probs.interference, probs.ref_index
     p = pops.tolist()
     p_ref, peak = p[r], max(p)
     if p_ref <= 0.0 or p_ref < WEAK_FRACTION * peak:

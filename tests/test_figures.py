@@ -1,5 +1,7 @@
 """SVG figure generation tests."""
 
+import math
+
 import pytest
 
 from psitomo import bloch_grid
@@ -44,3 +46,11 @@ def test_histogram_is_text_stable():
 def test_histogram_figure_refuses_no_fidelities():
     with pytest.raises(ValueError, match="need at least one fidelity"):
         histogram_figure([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5, -0.25])
+@pytest.mark.parametrize("draw", [histogram_figure, lambda fids: bloch_figure(bloch_grid(2), fids)],
+                         ids=["hist", "bloch"])
+def test_figures_refuse_fidelities_that_are_not_physical(draw, bad):
+    with pytest.raises(ValueError, match=r"fidelities must be finite numbers in \[0, 1\]"):
+        draw([0.9, bad])

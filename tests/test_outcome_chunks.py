@@ -10,6 +10,7 @@ seed, reference, verdict, error and fidelity of every trial as the batch
 runner produced them when this scheme was introduced.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -259,6 +260,20 @@ def test_chunk_rows_cannot_be_changed_after_the_check(kind):
         for held in (row.populations, row.interference):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = math.nan
+
+
+@pytest.mark.parametrize("kind", ["count", "probability"])
+def test_outcome_fields_cannot_be_reassigned(kind):
+    """A public instance and every chunk row refuse a field write, so no value
+    reaches the inversion without the checks."""
+    refs, pops, tables = chunk_arrays(3, kind, n=6)
+    public = ProjectorOutcomes(3, int(refs[0]), pops[0], tables[0], kind=kind)
+    for outcomes in [public, *ProjectorOutcomes._rows(3, refs, pops, tables, kind)]:
+        for field, value in [("populations", np.full(3, math.nan)),
+                             ("interference", np.full((2, 3), math.nan)),
+                             ("ref_index", 7), ("dim", 4), ("kind", "photons")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(outcomes, field, value)
 
 
 def first_error(make):

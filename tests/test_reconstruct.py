@@ -32,6 +32,7 @@ from psitomo import (
 )
 from psitomo.errors import (
     AllZero,
+    BadIndex,
     DegenerateFringe,
     NonpositiveReference,
     WeakReference,
@@ -139,12 +140,21 @@ def test_choose_reference():
          "populations and visibilities must have the same length"),
         (lambda: certify_purity(np.ones((2, 2)), np.ones((2, 2)), 0.5, ref_index=0),
          "populations and visibilities must be 1-D"),
+        (lambda: choose_reference([[0.1, 0.5], [0.2, 0.3]]), "populations must be 1-D"),
+        (lambda: choose_reference(0.5), "populations must be 1-D"),
     ],
-    ids=["zero-weights", "no-populations", "length-mismatch", "2-D"],
+    ids=["zero-weights", "no-populations", "length-mismatch", "2-D", "reference-2-D",
+         "reference-0-D"],
 )
 def test_reconstruct_validation(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("ref_index", [7, -1, 1.5])
+def test_certify_purity_refuses_a_reference_that_is_not_a_slit(ref_index):
+    with pytest.raises(BadIndex, match="reference index"):
+        certify_purity([0.5, 0.5], [0.2, 1.0], 0.5, ref_index=ref_index)
 
 
 NAN = float("nan")
