@@ -25,13 +25,7 @@ from .harness import (
     write_summary_json,
     write_trials_csv,
 )
-from .imaging import (
-    CALIBRATION_STEP,
-    NoiseModel,
-    OpticalConfig,
-    annotate_rois,
-    render_frames,
-)
+from .imaging import NoiseModel, OpticalConfig, annotate_rois, render_frames
 from .pgmio import PGM_MAXVAL, load_frames, read_json, save_frames, write_json, write_pgm
 from .projectors import ProjectorOutcomes
 from .reconstruct import reconstruct_from_frames, reconstruct_from_outcomes
@@ -125,10 +119,7 @@ def cmd_reconstruct(args) -> int:
     if bool(args.frames_dir) == bool(args.outcomes):
         raise ValueError("pass exactly one of --frames-dir or --outcomes")
     if args.frames_dir:
-        frames = load_frames(args.frames_dir)
-        main = [f for f in frames if f.step_index != CALIBRATION_STEP]
-        calibration = next((f for f in frames if f.step_index == CALIBRATION_STEP), None)
-        report = reconstruct_from_frames(main, calibration)
+        report = reconstruct_from_frames(load_frames(args.frames_dir))
     else:
         report = reconstruct_from_outcomes(read_json(args.outcomes, ProjectorOutcomes.from_dict))
 

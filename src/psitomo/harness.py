@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TomographyError, Unattainable
-from .imaging import NoiseModel, OpticalConfig, _object_amplitudes, _render
+from .imaging import NoiseModel, OpticalConfig, _object_amplitudes, _render, _steps
 from .pgmio import write_json
 from .projectors import STEP_PHASES, ProjectorOutcomes, _two_beam_table
 from .reconstruct import (
@@ -246,13 +246,12 @@ def _frames_run(states, spec: ExperimentSpec, seeds):
     table = lru_cache(maxsize=None)(spec.optics.with_reference)  # built as references occur
     adaptive = spec.reference_mode == "adaptive"
     pick = (lambda means: table(choose_reference(means))) if adaptive else None
+    steps = _steps(spec.calibration_frame)
 
     def trial(j):
         render_seed = np.random.SeedSequence(int(seeds[j])).spawn(1)[0]
-        frames = _render(states[j], spec.optics, spec.noise, render_seed, (0, 1, 2, 3),
-                         spec.calibration_frame, True, pick)
-        calibration = frames[4] if spec.calibration_frame else None
-        return reconstruct_from_frames(frames[:4], calibration, tau=spec.tau_purity)
+        frames = _render(states[j], spec.optics, spec.noise, render_seed, steps, True, pick)
+        return reconstruct_from_frames(frames, tau=spec.tau_purity)
 
     return trial
 

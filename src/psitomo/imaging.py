@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigMismatch
 from .projectors import STEP_PHASES
-from .states import PureState, _json_int
+from .states import PureState, _check_slit, _json_int
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
 DISPLAY_SLIT_PITCH = 30
@@ -103,8 +103,7 @@ class OpticalConfig:
     def __post_init__(self) -> None:
         if self.n_slits < 2:
             raise ValueError("need at least two slits")
-        if not 0 <= self.ref_index < self.n_slits:
-            raise ValueError(f"ref_index {self.ref_index} outside 0..{self.n_slits - 1}")
+        _check_slit(self.ref_index, self.n_slits, "ref_index", ValueError)
         if self.envelope_kind not in ENVELOPE_KINDS:
             raise ValueError(f"envelope_kind must be one of {ENVELOPE_KINDS}")
         height, width = self.image_dims
@@ -328,8 +327,8 @@ def _dc_total(amps: np.ndarray, config: OpticalConfig) -> float:
     return height * float(np.dot(geo.widths, np.abs(amps) ** 2)) + geo.ref_power
 
 
-def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick=None):
-    """Render the wanted frames over the ROI band, and embed them unless ``roi_band``.
+def _render(psi, config, noise, seed, steps, roi_band, pick=None):
+    """Render the frames of ``steps`` over the ROI band, and embed them unless ``roi_band``.
 
     The beams overlap only inside the ROIs, so a full frame is its band frame
     over a closed-form background: |obj|^2 down the slit columns unless the
@@ -384,7 +383,7 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick
     ref = np.broadcast_to(geo.profile[geo.cols], shape)
 
     frames = []
-    for step in (*steps, CALIBRATION_STEP) if include_calibration else steps:
+    for step in steps:
         if step == 0:
             intensity = level
         elif step == CALIBRATION_STEP:
@@ -418,6 +417,11 @@ def _render(psi, config, noise, seed, steps, include_calibration, roi_band, pick
     return full
 
 
+def _steps(include_calibration) -> tuple[int, ...]:
+    """An acquisition's steps: 0..3, then the calibration step when it is included."""
+    return (0, 1, 2, 3, CALIBRATION_STEP) if include_calibration else (0, 1, 2, 3)
+
+
 def render_frames(
     psi: PureState,
     config: OpticalConfig,
@@ -440,7 +444,7 @@ def render_frames(
     its packed column offset: the ROI pixels of the full render with the same
     seed, bit for bit, with or without noise.
     """
-    return _render(psi, config, noise, seed, (0, 1, 2, 3), include_calibration, roi_band)
+    return _render(psi, config, noise, seed, _steps(include_calibration), roi_band)
 
 
 def render_blocked_frame(
@@ -457,7 +461,7 @@ def render_blocked_frame(
     not call it: an adaptive frames trial draws frame 0 inside its one render
     and picks the reference there (``_render``'s ``pick``).
     """
-    return _render(psi, config, noise, seed, (0,), False, roi_band)[0]
+    return _render(psi, config, noise, seed, (0,), roi_band)[0]
 
 
 def annotate_rois(frame: Interferogram) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, BadIndex, DimensionMismatch
-from .states import DensityMatrix, PureState, _json_int
+from .states import DensityMatrix, PureState, _check_slit, _json_int
 
 #: Reference phase offsets pi/4, 3pi/4, 5pi/4 of the three interference steps.
 STEP_PHASES: tuple[float, float, float] = tuple(
@@ -45,8 +45,7 @@ class ProjectorSpec:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("qudit dimension must be at least 2")
-        if not 0 <= self.ref_index < self.dim:
-            raise BadIndex(f"reference index {self.ref_index} outside 0..{self.dim - 1}")
+        _check_slit(self.ref_index, self.dim)
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,7 @@ def _check_rows(dim, refs, populations, interference, kind) -> None:
         raise ValueError("qudit dimension must be at least 2")
     if kind not in OUTCOME_KINDS:
         raise ValueError(f"kind must be one of {OUTCOME_KINDS}")
-    outside = np.extract((refs < 0) | (refs >= dim), refs)
-    if outside.size:
-        raise BadIndex(f"reference index {outside[0]} outside 0..{dim - 1}")
+    _check_slit(refs, dim)
     if populations.shape != np.shape(refs) + (dim,):
         raise ValueError("populations must have shape (dim,)")
     if interference.shape != np.shape(refs) + (dim - 1, 3):
@@ -153,8 +150,7 @@ def _per_total(populations, interference):
 
 def projector_state(spec: ProjectorSpec, slit: int, step: int) -> PureState:
     """Analysis state (|r> + e^{i theta_step} |slit>)/sqrt(2) for one outcome."""
-    if not 0 <= slit < spec.dim:
-        raise BadIndex(f"slit {slit} outside 0..{spec.dim - 1}")
+    _check_slit(slit, spec.dim, "slit")
     if slit == spec.ref_index:
         raise BadIndex("target slit must differ from the reference slit")
     if step not in (1, 2, 3):
@@ -191,8 +187,7 @@ def interference_probs(psi: PureState, ref_index: int, phases) -> np.ndarray:
     Returns shape (dim - 1, 3); rows follow ascending slit order skipping
     ``ref_index``.
     """
-    if not 0 <= ref_index < psi.dim:
-        raise BadIndex(f"reference index {ref_index} outside 0..{psi.dim - 1}")
+    _check_slit(ref_index, psi.dim)
     amps = psi.amps
     return _two_beam_table(np.abs(amps) ** 2, amps[ref_index] * np.conj(amps), ref_index, phases)
 

@@ -25,12 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    AllZero, BadIndex, DegenerateFringe, NonpositiveReference, WeakReference, ZeroResultant,
-)
+from .errors import AllZero, DegenerateFringe, NonpositiveReference, WeakReference, ZeroResultant
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, measurement_plan
-from .states import PHASE_PIVOT, PureState, _canonical_phase, _norm, normalize
+from .states import PHASE_PIVOT, PureState, _canonical_phase, _check_slit, _norm, normalize
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
 #: strongest population.
@@ -175,8 +173,7 @@ def certify_purity(
         raise ValueError("populations and visibilities must have the same length")
     if p.ndim != 1:
         raise ValueError("populations and visibilities must be 1-D")
-    if not (isinstance(ref_index, (int, np.integer)) and 0 <= ref_index < p.size):
-        raise BadIndex(f"reference index {ref_index!r} is not an integer in 0..{p.size - 1}")
+    _check_slit(ref_index, p.size)
     r = np.broadcast_to(np.asarray(ref_population, dtype=float), p.shape)
     _require_finite((p, g, r), "populations, visibilities and reference levels")
     return _purity_check(p, g, r, ref_index, tau)
@@ -310,13 +307,16 @@ def _report(amps, pops, gamma, ref_level, r: int, tau, plan: str) -> Reconstruct
 
 
 def _frames_by_step(frames):
+    """One acquisition's frames by step: the one frame-set rule.  Steps 0..3 once
+    each, at most one calibration frame (step 4), all of one configuration."""
     by_step = {}
     for f in frames:
         if f.step_index in by_step:
             raise ValueError(f"duplicate frame for step {f.step_index}")
         by_step[f.step_index] = f
-    if sorted(by_step) != [0, 1, 2, 3]:
-        raise ValueError("need exactly the four frames with step indices 0..3")
+    if sorted(by_step) not in ([0, 1, 2, 3], [0, 1, 2, 3, CALIBRATION_STEP]):
+        raise ValueError("need the four frames with step indices 0..3, "
+                         "and at most a calibration frame with step index 4")
     cfg = frames[0].config
     if any(f.config != cfg for f in frames):
         raise ValueError("frames disagree on the optical configuration")
@@ -325,17 +325,17 @@ def _frames_by_step(frames):
 
 def reconstruct_from_frames(
     frames: list[Interferogram],
-    calibration: Interferogram | None = None,
     *,
     tau: float = TAU_PURITY,
 ) -> ReconstructionReport:
-    """Invert four camera frames into a pure state.
+    """Invert one acquisition's frame set, steps 0..3 plus an optional step-4
+    calibration frame, into a pure state.
 
     Moduli come from the blocked-reference frame; each slit phase is the
     modulation-weighted circular mean of the per-pixel three-step phase over
     its ROI, taken relative to the reference ROI.  The per-pixel mean level
     I0 is (I_1 + I_3)/2 (those steps sit in antiphase), or the blocked frame
-    plus the calibration frame when one is supplied.  A slit whose fringe is
+    plus the calibration frame when the set holds one.  A slit whose fringe is
     entirely degenerate keeps phase zero; a degenerate reference ROI aborts
     the reconstruction.
 
@@ -346,12 +346,7 @@ def reconstruct_from_frames(
     by_step = _frames_by_step(frames)
     cfg = by_step[0].config
     r = cfg.ref_index
-    if calibration is not None:
-        if calibration.step_index != CALIBRATION_STEP:
-            raise ValueError("calibration frame must carry step index 4")
-        if calibration.config != cfg:
-            raise ValueError("calibration frame disagrees on the configuration")
-
+    calibration = by_step.get(CALIBRATION_STEP)
     n = cfg.n_slits
     geo = _geometry(cfg)
     per_slit = geo.per_slit

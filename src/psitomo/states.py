@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import BadIndex, DimensionMismatch, ZeroVector
 
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -140,6 +140,19 @@ def _json_int(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, not {str(value).lower()}")
     return operator.index(value)
+
+
+def _check_slit(index, dim: int, what: str = "reference index", error=BadIndex) -> None:
+    """Raise ``error`` unless ``index`` is an integer in 0..dim-1: the one slit-index
+    rule.  An array passes when its dtype is an integer one and every entry is in range."""
+    if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+        outside = np.extract((index < 0) | (index >= dim), index)
+        if not outside.size:
+            return
+        index = outside[0]
+    elif isinstance(index, (int, np.integer)) and 0 <= index < dim:
+        return
+    raise error(f"{what} {index} outside 0..{dim - 1}")
 
 
 def _canonical_phase(amps: np.ndarray, floor: float = PHASE_PIVOT) -> np.ndarray:

@@ -16,7 +16,9 @@ from psitomo import (
     exact_outcomes,
     fidelity,
     haar_random,
+    load_frames,
     normalize,
+    reconstruct_from_frames,
     render_frames,
     save_frames,
 )
@@ -62,6 +64,18 @@ def test_simulate_calibration_and_preview(tmp_path):
     steps = sorted(int(p.stem.split("_")[1]) for p in tmp_path.glob("frame_*.pgm"))
     assert steps == [0, 1, 2, 3, 4]
     assert (tmp_path / "preview.pgm").exists()
+
+
+def test_library_reads_a_saved_calibrated_set_as_the_cli_does(tmp_path):
+    """The loaded five-frame set, passed whole, gives the report the CLI writes."""
+    out = str(tmp_path)
+    code = main(["simulate", "--dim", "4", "--seed", "3", "--calibration", "--out-dir", out])
+    assert code == EXIT_OK
+    assert main(["reconstruct", "--frames-dir", out, "--out-dir", out]) == EXIT_OK
+    frames = load_frames(out)
+    assert [f.step_index for f in frames] == [0, 1, 2, 3, 4]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert reconstruct_from_frames(frames).to_dict() == report
 
 
 def test_simulate_requires_dim_or_state_file(tmp_path):

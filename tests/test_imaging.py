@@ -31,6 +31,7 @@ from psitomo.imaging import (
     _geometry,
     _object_amplitudes,
     _render,
+    _steps,
     annotate_rois,
 )
 from psitomo.reconstruct import choose_reference
@@ -223,6 +224,7 @@ def _with_roi(k, roi):
     [
         (lambda: replace(_CFG3, n_slits=1), "need at least two slits"),
         (lambda: replace(_CFG3, ref_index=3), r"ref_index 3 outside 0\.\.2"),
+        (lambda: _CFG3.with_reference(1.5), r"ref_index 1\.5 outside 0\.\.2"),
         (lambda: replace(_CFG3, envelope_kind="gauss"), "envelope_kind must be one of"),
         (lambda: replace(_CFG3, image_dims=(0, 150)), "image dimensions must be positive"),
         (lambda: replace(_CFG3, roi_layout=_CFG3.roi_layout[:2]), "one ROI per slit"),
@@ -235,8 +237,9 @@ def _with_roi(k, roi):
          "envelope must be positive at the reference slit"),
         (lambda: OpticalConfig.for_dim(1), "qudit dimension must be at least 2"),
     ],
-    ids=["one-slit", "ref-index", "envelope-kind", "image-dims", "roi-count", "roi-width",
-         "roi-outside", "roi-row", "envelope-count", "dark-reference", "for-dim-1"],
+    ids=["one-slit", "ref-index", "fractional-ref-index", "envelope-kind", "image-dims",
+         "roi-count", "roi-width", "roi-outside", "roi-row", "envelope-count", "dark-reference",
+         "for-dim-1"],
 )
 def test_optical_config_validation(build, message):
     with pytest.raises(ValueError, match=message):
@@ -388,8 +391,8 @@ def test_band_frames_are_full_frame_roi_crops(dim, extra, adaptive, envelope, ca
     noise = NoiseModel(1e5, 0.1, DISPLAY_PHASE_SD, dark_rate=0.5)
     seed = np.random.SeedSequence(dim).spawn(1)[0]
     pick = (lambda means: cfg.with_reference(choose_reference(means))) if adaptive else None
-    full = _render(psi, cfg, noise, seed, (0, 1, 2, 3), calibration, False, pick)
-    band = _render(psi, cfg, noise, seed, (0, 1, 2, 3), calibration, True, pick)
+    full = _render(psi, cfg, noise, seed, _steps(calibration), False, pick)
+    band = _render(psi, cfg, noise, seed, _steps(calibration), True, pick)
     assert [f.step_index for f in band] == [f.step_index for f in full]
     for f, b in zip(full, band):
         assert f.config.ref_index == b.config.ref_index

@@ -20,6 +20,7 @@ from psitomo import (
     measurement_plan,
     normalize,
     projector_state,
+    reconstruct_from_outcomes,
     sample_counts,
 )
 from psitomo.errors import AllZero, BadIndex, DimensionMismatch
@@ -222,14 +223,28 @@ def test_measurement_plan_rejects_unknown_mode():
         (lambda: ProjectorSpec(3, ref_index=3), BadIndex, r"reference index 3 outside 0\.\.2"),
         (lambda: interference_probs(haar_random(3, seed=0), 3, STEP_PHASES), BadIndex,
          r"reference index 3 outside 0\.\.2"),
+        (lambda: exact_outcomes(haar_random(3, 1), ProjectorSpec(3, 1.5)), BadIndex,
+         r"reference index 1\.5 outside 0\.\.2"),
+        (lambda: reconstruct_from_outcomes(
+            ProjectorOutcomes(2, 0.5, [0.5, 0.5], [[0.5, 0.25, 0.0]])), BadIndex,
+         r"reference index 0\.5 outside 0\.\.1"),
+        (lambda: interference_probs(haar_random(3, 1), 1.5, STEP_PHASES), BadIndex,
+         r"reference index 1\.5 outside 0\.\.2"),
+        (lambda: projector_state(ProjectorSpec(3), slit=1.5, step=1), BadIndex,
+         r"slit 1\.5 outside 0\.\.2"),
+        (lambda: ProjectorOutcomes._rows(2, np.array([0.0]), np.array([[0.5, 0.5]]),
+                                         np.array([[[0.5, 0.25, 0.0]]]), "probability"),
+         BadIndex, r"reference index \[0\.\] outside 0\.\.1"),
         (lambda: exact_outcomes(haar_random(3, seed=0), ProjectorSpec(2)), DimensionMismatch,
          "state dim 3 != spec dim 2"),
         (lambda: exact_outcomes_mixed(DensityMatrix.maximally_mixed(3), ProjectorSpec(2)),
          DimensionMismatch, "state dim 3 != spec dim 2"),
         (lambda: measurement_plan(1, "adaptive"), ValueError, "qudit dimension must be at least 2"),
     ],
-    ids=["spec-dim-1", "spec-ref-index", "interference-ref-index", "exact-dims",
-         "exact-mixed-dims", "plan-dim-1"],
+    ids=["spec-dim-1", "spec-ref-index", "interference-ref-index", "spec-fractional-ref",
+         "outcomes-fractional-ref", "interference-fractional-ref",
+         "projector-state-fractional-slit", "chunk-float-refs", "exact-dims", "exact-mixed-dims",
+         "plan-dim-1"],
 )
 def test_projector_validation(build, error, message):
     with pytest.raises(error, match=message):

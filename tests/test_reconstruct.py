@@ -342,7 +342,7 @@ def test_frame_round_trip_with_calibration_frame():
     psi = haar_random(3, seed=51)
     cfg = OpticalConfig.for_dim(3)
     frames = render_frames(psi, cfg, include_calibration=True)
-    report = reconstruct_from_frames(frames[:4], calibration=frames[4])
+    report = reconstruct_from_frames(frames)
     assert fidelity(psi, report.state) >= 1.0 - 1e-12
     assert report.purity_verdict.pure
 
@@ -350,13 +350,15 @@ def test_frame_round_trip_with_calibration_frame():
 def test_frame_reconstruction_validates_frame_set():
     psi = haar_random(2, seed=52)
     cfg = OpticalConfig.for_dim(2)
-    frames = render_frames(psi, cfg)
-    with pytest.raises(ValueError):
+    frames = render_frames(psi, cfg, include_calibration=True)
+    with pytest.raises(ValueError, match="need the four frames"):
         reconstruct_from_frames(frames[:3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate frame for step 1"):
         reconstruct_from_frames(frames + [frames[1]])
-    with pytest.raises(ValueError):
-        reconstruct_from_frames(frames[:4], calibration=frames[1])
+    with pytest.raises(ValueError, match="duplicate frame for step 4"):
+        reconstruct_from_frames(frames + [frames[4]])
+    with pytest.raises(ValueError, match="need the four frames"):
+        reconstruct_from_frames(frames[:2] + frames[3:])
 
 
 def test_frame_reconstruction_refuses_frames_of_two_configurations():
@@ -366,8 +368,8 @@ def test_frame_reconstruction_refuses_frames_of_two_configurations():
     moved = render_frames(psi, cfg.with_reference(1), include_calibration=True)
     with pytest.raises(ValueError, match="frames disagree on the optical configuration"):
         reconstruct_from_frames(frames[:3] + moved[3:4])
-    with pytest.raises(ValueError, match="calibration frame disagrees"):
-        reconstruct_from_frames(frames[:4], calibration=moved[4])
+    with pytest.raises(ValueError, match="frames disagree on the optical configuration"):
+        reconstruct_from_frames(frames[:4] + moved[4:])
 
 
 def row_frames(rows, widths):
@@ -491,7 +493,7 @@ def test_frame_round_trip_with_unequal_roi_widths(roi_band, calibration):
     )
     psi = haar_random(4, seed=56)
     frames = render_frames(psi, cfg, include_calibration=calibration, roi_band=roi_band)
-    report = reconstruct_from_frames(frames[:4], frames[4] if calibration else None)
+    report = reconstruct_from_frames(frames)
     assert fidelity(psi, report.state) >= 1.0 - 1e-12
     assert report.purity_verdict.pure
     assert report.per_slit_visibility[1:] == pytest.approx(
@@ -530,9 +532,8 @@ def test_vectorised_inversion_matches_loop_reference(roi_band, calibration):
     frames = render_frames(
         psi, cfg, noise, seed=12, include_calibration=calibration, roi_band=roi_band
     )
-    cal = frames[4] if calibration else None
-    report = reconstruct_from_frames(frames[:4], cal)
-    phases, gamma, ref_level = loop_reference(frames[:4], cal)
+    report = reconstruct_from_frames(frames)
+    phases, gamma, ref_level = loop_reference(frames[:4], frames[4] if calibration else None)
     pops = np.array([frames[0].roi(k).mean() for k in range(7)])
     amps = np.sqrt(pops) * np.exp(1j * (phases - phases[3]))
     expected = normalize(amps).canonical()
