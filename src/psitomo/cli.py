@@ -108,8 +108,7 @@ def cmd_simulate(args) -> int:
     if args.preview:
         marked = annotate_rois(frames[1])
         peak = float(marked.max())
-        scaled = np.rint(marked * (PGM_MAXVAL / peak)).astype(np.uint16)
-        write_pgm(out / "preview.pgm", scaled)
+        write_pgm(out / "preview.pgm", np.rint(marked * (PGM_MAXVAL / peak)))
     print(f"wrote {4 + int(args.calibration)} frames to {out}")
     return EXIT_OK
 

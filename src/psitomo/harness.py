@@ -31,7 +31,7 @@ from .reconstruct import (
     reconstruct_from_frames,
     reconstruct_from_outcomes,
 )
-from .states import PureState, bloch_grid, fidelity, normalize
+from .states import PureState, _check_int, bloch_grid, fidelity, normalize
 
 PIPELINES = ("outcomes", "frames")
 REFERENCE_MODES = ("fixed", "adaptive", "extra_slit")
@@ -59,8 +59,7 @@ class StateSource:
     def __post_init__(self) -> None:
         if self.kind not in ("haar", "bloch_grid", "explicit"):
             raise ValueError(f"unknown state source kind: {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("state source must produce at least one state")
+        _check_int(self.n, "state source must produce at least one state", 1)
         if (self.kind == "explicit") != (self.states is not None):
             raise ValueError("explicit sources carry states; generated ones do not")
         if self.states is not None and self.n != len(self.states):
@@ -96,8 +95,10 @@ class ExperimentSpec:
     tau_purity: float = TAU_PURITY
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("qudit dimension must be at least 2")
+        _check_int(self.dim, "qudit dimension must be at least 2", 2)
+        _check_int(self.root_seed, "root_seed must be a non-negative integer")
+        if not isinstance(self.calibration_frame, (bool, np.bool_)):
+            raise ValueError(f"calibration_frame must be a bool, got {self.calibration_frame!r}")
         if self.pipeline not in PIPELINES:
             raise ValueError(f"pipeline must be one of {PIPELINES}")
         if self.reference_mode not in REFERENCE_MODES:
@@ -289,6 +290,8 @@ def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -
     """
     if psi.dim != spec.dim:
         raise ValueError("state dimension differs from spec.dim")
+    _check_int(seed, "seed must be a non-negative integer")
+    _check_int(index, "index must be a non-negative integer")
     return _trials([psi], spec, [seed], [index], strict=True)[0]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigMismatch
 from .projectors import STEP_PHASES
-from .states import PureState, _check_slit, _json_int
+from .states import PureState, _check_int, _json_int
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
 DISPLAY_SLIT_PITCH = 30
@@ -101,9 +101,8 @@ class OpticalConfig:
     envelope_width: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_slits < 2:
-            raise ValueError("need at least two slits")
-        _check_slit(self.ref_index, self.n_slits, "ref_index", ValueError)
+        _check_int(self.n_slits, "need at least two slits", 2)
+        _check_int(self.ref_index, "ref_index", 0, self.n_slits)
         if self.envelope_kind not in ENVELOPE_KINDS:
             raise ValueError(f"envelope_kind must be one of {ENVELOPE_KINDS}")
         height, width = self.image_dims
@@ -162,8 +161,7 @@ class OpticalConfig:
         transmission) and anchors the reference there, so no amplitude of the
         state under test has to serve as phase anchor.
         """
-        if dim < 2:
-            raise ValueError("qudit dimension must be at least 2")
+        _check_int(dim, "qudit dimension must be at least 2", 2)
         n_slits = dim + 1 if extra_reference else dim
         width = (n_slits + 2) * DISPLAY_SLIT_PITCH  # one pitch of margin on each side
         band_y = (DEFAULT_IMAGE_HEIGHT - DEFAULT_BAND_HEIGHT) // 2
@@ -220,8 +218,7 @@ class Interferogram:
     config: OpticalConfig
 
     def __post_init__(self) -> None:
-        if not 0 <= self.step_index <= CALIBRATION_STEP:
-            raise ValueError(f"step index {self.step_index} outside 0..4")
+        _check_int(self.step_index, "step index", 0, CALIBRATION_STEP + 1)
         arr = np.asarray(self.pixels, dtype=float).view()  # the caller's array stays writeable
         if arr.shape != tuple(self.config.image_dims):
             raise ValueError("pixel array does not match the configured image size")

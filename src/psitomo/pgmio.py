@@ -83,17 +83,21 @@ def save_frames(directory, frames: list[Interferogram], seed: int) -> list[Path]
 
     All frames share one scale factor chosen so the brightest pixel of the
     set maps to 65535; reconstruction only uses intensity ratios, so the
-    factor is recorded for reference rather than needed.
+    factor is recorded for reference rather than needed.  A set with a
+    pixel that scales outside 0..65535 (a negative one) raises ValueError
+    before any file is written.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     peak = max(float(f.pixels.max()) for f in frames)
     scale = PGM_MAXVAL / peak if peak > 0 else 1.0
+    # Rounding and a positive scale keep order, so the set's least pixel decides.
+    if not np.rint(min(float(f.pixels.min()) for f in frames) * scale) >= 0:  # NaN fails too
+        raise ValueError(f"pixel values must lie in 0..{PGM_MAXVAL}")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for f in frames:
-        quantized = np.rint(f.pixels * scale).astype(np.uint16)
         pgm_path = directory / f"frame_{f.step_index}.pgm"
-        write_pgm(pgm_path, quantized)
+        write_pgm(pgm_path, np.rint(f.pixels * scale))
         write_json(directory / f"frame_{f.step_index}.json", {
             "step": f.step_index,
             "roi": [list(r) for r in f.config.roi_layout],

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, BadIndex, DimensionMismatch
-from .states import DensityMatrix, PureState, _check_slit, _json_int
+from .states import DensityMatrix, PureState, _check_int, _json_int
 
 #: Reference phase offsets pi/4, 3pi/4, 5pi/4 of the three interference steps.
 STEP_PHASES: tuple[float, float, float] = tuple(
@@ -43,9 +43,8 @@ class ProjectorSpec:
     ref_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("qudit dimension must be at least 2")
-        _check_slit(self.ref_index, self.dim)
+        _check_int(self.dim, "qudit dimension must be at least 2", 2)
+        _check_int(self.ref_index, "reference index", 0, self.dim, BadIndex)
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,8 @@ class ProjectorOutcomes:
 
     def to_dict(self) -> dict:
         return {
-            "dim": self.dim,
-            "ref_index": self.ref_index,
+            "dim": int(self.dim),
+            "ref_index": int(self.ref_index),
             "populations": [float(x) for x in self.populations],
             "interference": [[float(x) for x in row] for row in self.interference],
             "kind": self.kind,
@@ -120,11 +119,10 @@ class ProjectorOutcomes:
 
 def _check_rows(dim, refs, populations, interference, kind) -> None:
     """ProjectorOutcomes' checks on float arrays with the leading batch axes of ``refs``."""
-    if dim < 2:
-        raise ValueError("qudit dimension must be at least 2")
+    _check_int(dim, "qudit dimension must be at least 2", 2)
     if kind not in OUTCOME_KINDS:
         raise ValueError(f"kind must be one of {OUTCOME_KINDS}")
-    _check_slit(refs, dim)
+    _check_int(refs, "reference index", 0, dim, BadIndex)
     if populations.shape != np.shape(refs) + (dim,):
         raise ValueError("populations must have shape (dim,)")
     if interference.shape != np.shape(refs) + (dim - 1, 3):
@@ -150,11 +148,10 @@ def _per_total(populations, interference):
 
 def projector_state(spec: ProjectorSpec, slit: int, step: int) -> PureState:
     """Analysis state (|r> + e^{i theta_step} |slit>)/sqrt(2) for one outcome."""
-    _check_slit(slit, spec.dim, "slit")
+    _check_int(slit, "slit", 0, spec.dim, BadIndex)
     if slit == spec.ref_index:
         raise BadIndex("target slit must differ from the reference slit")
-    if step not in (1, 2, 3):
-        raise BadIndex(f"step must be 1, 2, or 3, got {step}")
+    _check_int(step, "step", 1, 4, BadIndex)
     amps = np.zeros(spec.dim, dtype=np.complex128)
     amps[spec.ref_index] = 1.0 / np.sqrt(2.0)
     amps[slit] = np.exp(1j * STEP_PHASES[step - 1]) / np.sqrt(2.0)
@@ -187,7 +184,7 @@ def interference_probs(psi: PureState, ref_index: int, phases) -> np.ndarray:
     Returns shape (dim - 1, 3); rows follow ascending slit order skipping
     ``ref_index``.
     """
-    _check_slit(ref_index, psi.dim)
+    _check_int(ref_index, "reference index", 0, psi.dim, BadIndex)
     amps = psi.amps
     return _two_beam_table(np.abs(amps) ** 2, amps[ref_index] * np.conj(amps), ref_index, phases)
 
@@ -261,8 +258,7 @@ def measurement_plan(dim: int, mode: str) -> MeasurementPlan:
     image:    four camera frames regardless of d; each frame carries all d
               regions of interest at once, so 4 d intensity readouts.
     """
-    if dim < 2:
-        raise ValueError("qudit dimension must be at least 2")
+    _check_int(dim, "qudit dimension must be at least 2", 2)
     if mode == "adaptive":
         return MeasurementPlan(dim, mode, 4 * dim - 3)
     if mode == "fixed":

@@ -25,10 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AllZero, DegenerateFringe, NonpositiveReference, WeakReference, ZeroResultant
+from .errors import (AllZero, BadIndex, DegenerateFringe, NonpositiveReference, WeakReference,
+                     ZeroResultant)
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, measurement_plan
-from .states import PHASE_PIVOT, PureState, _canonical_phase, _check_slit, _norm, normalize
+from .states import PHASE_PIVOT, PureState, _canonical_phase, _check_int, _norm, normalize
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
 #: strongest population.
@@ -173,7 +174,7 @@ def certify_purity(
         raise ValueError("populations and visibilities must have the same length")
     if p.ndim != 1:
         raise ValueError("populations and visibilities must be 1-D")
-    _check_slit(ref_index, p.size)
+    _check_int(ref_index, "reference index", 0, p.size, BadIndex)
     r = np.broadcast_to(np.asarray(ref_population, dtype=float), p.shape)
     _require_finite((p, g, r), "populations, visibilities and reference levels")
     return _purity_check(p, g, r, ref_index, tau)

@@ -9,12 +9,11 @@ inputs and certification oracles for mixed states.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadIndex, DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, ZeroVector
 
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -130,29 +129,30 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        if dim < 2:
-            raise ValueError("qudit dimension must be at least 2")
+        _check_int(dim, "qudit dimension must be at least 2", 2)
         return cls(np.eye(dim) / dim)
 
 
 def _json_int(value) -> int:
-    """An integer JSON field: operator.index, refusing the booleans it accepts."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, not {str(value).lower()}")
-    return operator.index(value)
+    """An integer JSON field, by the integer rule; anything else is a TypeError."""
+    _check_int(value, "expected an integer", -math.inf, error=TypeError)
+    return int(value)
 
 
-def _check_slit(index, dim: int, what: str = "reference index", error=BadIndex) -> None:
-    """Raise ``error`` unless ``index`` is an integer in 0..dim-1: the one slit-index
-    rule.  An array passes when its dtype is an integer one and every entry is in range."""
-    if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
-        outside = np.extract((index < 0) | (index >= dim), index)
+def _check_int(value, what: str, lo=0, hi: int | None = None, error=ValueError) -> None:
+    """The one integer rule: raise ``error`` unless ``value`` is an int or np.integer, never a
+    bool, in lo..hi-1, or at least ``lo`` with no ``hi``; an integer-dtype array entry by entry.
+    A floor's ``what`` is its whole message, and ", got <value>" follows it."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        outside = np.extract((value < lo) | (hi is not None and value >= hi), value)
         if not outside.size:
             return
-        index = outside[0]
-    elif isinstance(index, (int, np.integer)) and 0 <= index < dim:
+        value = outside[0]
+    elif (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+          and lo <= value and (hi is None or value < hi)):
         return
-    raise error(f"{what} {index} outside 0..{dim - 1}")
+    raise error(f"{what}, got {value!r}" if hi is None
+                else f"{what} {value} outside {lo}..{hi - 1}")
 
 
 def _canonical_phase(amps: np.ndarray, floor: float = PHASE_PIVOT) -> np.ndarray:
@@ -197,8 +197,7 @@ def haar_random(dim: int, seed) -> PureState:
     normalized; the resulting direction is uniform on the unit sphere in C^d.
     ``seed`` may be an int, a SeedSequence, or a Generator.
     """
-    if dim < 2:
-        raise ValueError("qudit dimension must be at least 2")
+    _check_int(dim, "qudit dimension must be at least 2", 2)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return normalize(z)
@@ -213,13 +212,13 @@ def bloch_grid(n: int) -> list[PureState]:
     is built once per process; every call returns a new list of the same
     immutable states.
     """
+    # Checked before the cache, which would answer 4.0 or True from the entry of 4 or 1.
+    _check_int(n, "need at least one lattice point", 1)
     return list(_bloch_lattice(n))
 
 
 @lru_cache(maxsize=8)
 def _bloch_lattice(n: int) -> tuple[PureState, ...]:
-    if n < 1:
-        raise ValueError("need at least one lattice point")
     idx = np.arange(n)
     z = 1.0 - (2.0 * idx + 1.0) / n
     theta = np.arccos(np.clip(z, -1.0, 1.0))

@@ -113,6 +113,13 @@ def test_spec_validation():
         spec_of(reference_mode="nope")
 
 
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_spec_refuses_a_calibration_frame_flag_that_is_not_a_bool(flag):
+    with pytest.raises(ValueError, match=f"calibration_frame must be a bool, got {flag!r}"):
+        spec_of(pipeline="frames", calibration_frame=flag)
+    assert spec_of(pipeline="frames", calibration_frame=np.bool_(True)).calibration_frame
+
+
 # ------------------------------------------------------------ single trials
 
 

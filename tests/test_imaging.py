@@ -536,6 +536,19 @@ def test_write_pgm_refuses_an_image_that_is_not_2d(tmp_path, pixels):
     assert not path.exists()
 
 
+def test_save_frames_refuses_a_negative_pixel_before_writing_any_file(tmp_path):
+    cfg = OpticalConfig.for_dim(2)
+    frames = render_frames(haar_random(2, seed=1), cfg)
+    save_frames(tmp_path, frames, seed=1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    pixels = frames[3].pixels.copy()
+    pixels[0, 0] = -50.0
+    frames[3] = Interferogram(3, pixels, cfg)
+    with pytest.raises(ValueError, match=r"pixel values must lie in 0\.\.65535"):
+        save_frames(tmp_path, frames, seed=2)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_save_and_load_frames_round_trip(tmp_path):
     psi = haar_random(3, seed=14)
     cfg = OpticalConfig.for_dim(3)

@@ -5,6 +5,8 @@ p = |<r|psi> + e^{i theta} <k|psi>|^2 / 2 and cross-checked with a
 brute-force inner product before being written down.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from psitomo import (
     sample_counts,
 )
 from psitomo.errors import AllZero, BadIndex, DimensionMismatch
+from psitomo.projectors import OUTCOME_KINDS
 from psitomo.states import DensityMatrix, depolarized
 
 
@@ -182,6 +185,20 @@ def test_outcomes_dict_round_trip():
     assert np.allclose(again.populations, out.populations)
     assert np.allclose(again.interference, out.interference)
     assert again.kind == out.kind
+
+
+@pytest.mark.parametrize("kind", OUTCOME_KINDS)
+@pytest.mark.parametrize(
+    "dim, ref", [(2, 1), (np.int64(3), np.int32(2)), (np.uint8(2), np.uint64(0))],
+    ids=["int", "int64-int32", "uint8-uint64"],
+)
+def test_accepted_outcomes_survive_their_json_round_trip(dim, ref, kind):
+    pops = np.full(int(dim), 1.0 / int(dim))
+    out = ProjectorOutcomes(dim, ref, pops, np.full((int(dim) - 1, 3), 0.25), kind)
+    again = ProjectorOutcomes.from_dict(json.loads(json.dumps(out.to_dict())))
+    assert (again.dim, again.ref_index, again.kind) == (dim, ref, kind)
+    assert np.array_equal(again.populations, out.populations)
+    assert np.array_equal(again.interference, out.interference)
 
 
 def test_sample_counts_is_deterministic_and_poisson_scaled():
