@@ -148,7 +148,7 @@ def _spec_from_args(args, config: dict) -> ExperimentSpec:
         root_seed=args.seed,
         pipeline=merged["pipeline"],
         reference_mode=merged["reference_mode"],
-        noise=NoiseModel(**{field: float(v) for field, v in noise.items()}),
+        noise=NoiseModel(**noise),
         optical=None if merged["optical"] is None else OpticalConfig.from_dict(merged["optical"]),
     )
 

@@ -26,12 +26,11 @@ from .pgmio import write_json
 from .projectors import STEP_PHASES, ProjectorOutcomes, _two_beam_table
 from .reconstruct import (
     TAU_PURITY,
-    _slack,
     choose_reference,
     reconstruct_from_frames,
     reconstruct_from_outcomes,
 )
-from .states import PureState, _check_int, bloch_grid, fidelity, normalize
+from .states import PureState, _check_int, _check_real, bloch_grid, fidelity, normalize
 
 PIPELINES = ("outcomes", "frames")
 REFERENCE_MODES = ("fixed", "adaptive", "extra_slit")
@@ -105,7 +104,7 @@ class ExperimentSpec:
             raise ValueError(f"reference mode must be one of {REFERENCE_MODES}")
         if self.source.kind == "bloch_grid" and self.dim != 2:
             raise ValueError("the Bloch lattice source is defined for dim 2 only")
-        _slack(self.tau_purity, "tau_purity")
+        object.__setattr__(self, "tau_purity", _check_real(self.tau_purity, "tau_purity"))
         # for_dim alone sets each mode's slit count and fixed reference slit.
         adaptive = self.reference_mode == "adaptive"
         layout = OpticalConfig.for_dim(
@@ -162,14 +161,19 @@ class SummaryStats:
 
 def trial_seed(root_seed: int, index: int) -> int:
     """Stable 64-bit seed for one trial, mixed from the root seed and index."""
-    seq = np.random.SeedSequence([int(root_seed), int(index)])
-    return int(seq.generate_state(2, np.uint64)[0])
+    return _mixed_seed(root_seed, index)
 
 
 def chunk_seed(root_seed: int, chunk: int) -> int:
     """Stable 64-bit seed of one OUTCOME_CHUNK-trial chunk of a batch."""
-    seq = np.random.SeedSequence([int(root_seed), int(chunk), _CHUNK_TAG])
-    return int(seq.generate_state(2, np.uint64)[0])
+    return _mixed_seed(root_seed, chunk, _CHUNK_TAG)
+
+
+def _mixed_seed(*key) -> int:
+    """Stable 64-bit seed mixed from a key of non-negative integers."""
+    for k in key:
+        _check_int(k, "seed keys must be non-negative integers")
+    return int(np.random.SeedSequence(key).generate_state(2, np.uint64)[0])
 
 
 def _streams(seed: int) -> list[np.random.Generator]:
@@ -208,7 +212,7 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
     kind, rows in order, so row j depends only on (seed, j) and its state.
     """
     _, population_rng, jitter_rng, count_rng = _streams(seeds[0])
-    photons = float(spec.noise.photons_per_frame)
+    photons = spec.noise.photons_per_frame
     amps = np.array([_object_amplitudes(psi, spec.optics.n_slits) for psi in states])
     if spec.optics.n_slits > spec.dim:
         amps = amps / math.sqrt(2.0)
@@ -223,7 +227,7 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
 
     # One phase error per step: the stepping element moves once per setting
     # and every slit pairing inherits that same error.
-    jitter = jitter_rng.standard_normal((len(states), 3)) * float(spec.noise.phase_step_jitter_sd)
+    jitter = jitter_rng.standard_normal((len(states), 3)) * spec.noise.phase_step_jitter_sd
     coherence = amps[np.arange(len(states)), ref][:, None] * np.conj(amps)
     tables = _two_beam_table(pops, coherence, ref, np.asarray(STEP_PHASES) + jitter)
     kind = "count" if photons > 0.0 else "probability"
@@ -383,8 +387,7 @@ def calibrate_noise(
         raise ValueError(f"dim {dim} differs from the template's dim {template.dim}")
     if not 0.0 < target_mean_fidelity < 1.0:
         raise ValueError("target mean fidelity must lie strictly inside (0, 1)")
-    if not 0.0 < tol < math.inf:  # NaN fails too
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    tol = _check_real(tol, "tol", positive=True)
     lo, hi = (float(bracket[0]), float(bracket[1]))
     if not 0.0 < lo < hi < math.inf:  # NaN fails too
         raise ValueError(f"bracket must satisfy 0 < low < high < inf, got {bracket!r}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigMismatch
 from .projectors import STEP_PHASES
-from .states import PureState, _check_int, _json_int
+from .states import PureState, _check_int, _check_real, _frozen, _json_int
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
 DISPLAY_SLIT_PITCH = 30
@@ -58,9 +58,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            # Written so that NaN fails the test too.
-            if not 0.0 <= float(getattr(self, f.name)) < np.inf:
-                raise ValueError(f"{f.name} must be finite and non-negative")
+            object.__setattr__(self, f.name, _check_real(getattr(self, f.name), f.name))
 
     def with_photons(self, photons_per_frame: float) -> "NoiseModel":
         return replace(self, photons_per_frame=photons_per_frame)
@@ -106,39 +104,37 @@ class OpticalConfig:
         if self.envelope_kind not in ENVELOPE_KINDS:
             raise ValueError(f"envelope_kind must be one of {ENVELOPE_KINDS}")
         height, width = self.image_dims
-        if height <= 0 or width <= 0:
-            raise ValueError("image dimensions must be positive")
+        for size in self.image_dims:
+            _check_int(size, "image dimensions must be positive", 1)
         if len(self.roi_layout) != self.n_slits:
             raise ValueError("need exactly one ROI per slit")
-        if self.envelope_width is not None and not 0.0 < float(self.envelope_width) < np.inf:
-            raise ValueError("envelope_width must be None or finite and positive")
-        spans = []
+        if self.envelope_width is not None:
+            object.__setattr__(self, "envelope_width", _check_real(
+                self.envelope_width, "envelope_width", positive=True))
+        end = 0  # where the previous ROI ends
         for x, y, w, h in self.roi_layout:
-            if w <= 0 or h <= 0:
-                raise ValueError("ROI width and height must be positive")
-            if x < 0 or y < 0 or x + w > width or y + h > height:
-                raise ValueError(f"ROI ({x}, {y}, {w}, {h}) leaves the image")
+            for offset, size, extent in ((x, w, width), (y, h, height)):
+                _check_int(size, "ROI width and height must be positive", 1)
+                _check_int(offset, f"ROI ({x}, {y}, {w}, {h}) leaves the image: offset", 0,
+                           extent - size + 1)
             if (y, h) != (self.roi_layout[0][1], self.roi_layout[0][3]):
                 raise ValueError("all ROIs must share the single reference band row")
-            spans.append((x, x + w))
-        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-            if b0 < a1:
+            if x < end:
                 raise ValueError("ROIs must ascend in x and must not overlap")
-        declared = tuple(self.ref_envelope)
+            end = x + w
+        declared = tuple(_check_real(v, "envelope entries") for v in self.ref_envelope)
         derived = declared if self.envelope_kind == "custom" else _envelope_values(self)
         object.__setattr__(self, "ref_envelope", declared or derived)
         if len(self.ref_envelope) != self.n_slits:
             raise ValueError("need exactly one envelope value per slit")
-        env = np.asarray(self.ref_envelope, dtype=float)
-        # Written so that NaN fails the tests too.
-        if not np.all((env >= 0.0) & (env <= 1.0)):
+        if max(self.ref_envelope) > 1.0:
             raise ValueError("envelope entries must lie in [0, 1]")
         if self.ref_envelope != derived:
             raise ValueError(
                 f"ref_envelope {declared} is not the {self.envelope_kind} envelope {derived} "
                 "of this ROI layout; omit it, or declare envelope_kind custom"
             )
-        if env[self.ref_index] <= 0.0:
+        if self.ref_envelope[self.ref_index] <= 0.0:
             raise ValueError("envelope must be positive at the reference slit")
 
     @property
@@ -190,7 +186,7 @@ class OpticalConfig:
             ref_index=_json_int(payload["ref_index"]),
             image_dims=tuple(map(_json_int, payload["image_dims"])),
             roi_layout=tuple(tuple(map(_json_int, r)) for r in payload["roi_layout"]),
-            ref_envelope=tuple(float(v) for v in payload.get("ref_envelope", ())),
+            ref_envelope=tuple(payload.get("ref_envelope", ())),
             envelope_kind=str(payload.get("envelope_kind", "custom")),
             envelope_width=payload.get("envelope_width"),
         )
@@ -203,7 +199,7 @@ def _envelope_values(config: OpticalConfig) -> tuple[float, ...]:
     centers = np.array([x + w / 2.0 for x, _, w, _ in config.roi_layout])
     # Default width keeps every slit inside the central diffraction lobe.
     width = config.envelope_width or 2.0 * config.n_slits * config.slit_pitch_px
-    vals = np.sinc((centers - centers[config.ref_index]) / float(width))
+    vals = np.sinc((centers - centers[config.ref_index]) / width)
     # A slit beyond the first zero would see a sign flip; clamp it dark
     # instead of rendering an unphysical negative amplitude.
     return tuple(float(v) for v in np.clip(vals, 0.0, 1.0))
@@ -219,12 +215,11 @@ class Interferogram:
 
     def __post_init__(self) -> None:
         _check_int(self.step_index, "step index", 0, CALIBRATION_STEP + 1)
-        arr = np.asarray(self.pixels, dtype=float).view()  # the caller's array stays writeable
+        arr = _frozen(np.asarray(self.pixels, dtype=float).view())  # the caller's stays writeable
         if arr.shape != tuple(self.config.image_dims):
             raise ValueError("pixel array does not match the configured image size")
         if not np.isfinite(arr).all():
             raise ValueError("pixel values must be finite")
-        arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
     def roi(self, k: int) -> np.ndarray:
@@ -291,11 +286,10 @@ def _geometry(config: OpticalConfig) -> _Geometry:
     cols = np.concatenate([np.arange(x, x + w) for x, _, w, _ in layout])
 
     centers = np.array([x + w / 2.0 for x, _, w, _ in layout])
-    env = np.asarray(config.ref_envelope, dtype=float)
-    profile = np.interp(np.arange(config.image_dims[1], dtype=float), centers, env)
+    profile = np.interp(np.arange(config.image_dims[1], dtype=float), centers, config.ref_envelope)
     # Inside each ROI the reference amplitude is exactly the per-slit value;
     # the interpolated profile between slits is cosmetic only.
-    profile[cols] = np.repeat(env, widths)
+    profile[cols] = np.repeat(config.ref_envelope, widths)
     _, band_y, _, band_height = layout[0]
     ref_power = band_height * float(np.sum(profile**2))
 
@@ -305,11 +299,9 @@ def _geometry(config: OpticalConfig) -> _Geometry:
         roi_layout=tuple((int(s), 0, int(w), band_height) for s, w in zip(starts, widths)),
         envelope_kind="custom",
     )
-    area = widths * band_height
-    for arr in (cols, starts, widths, area, profile):
-        arr.setflags(write=False)
     rows = slice(band_y, band_y + band_height)
-    return _Geometry(cols, rows, starts, widths, area, profile, ref_power, band)
+    return _Geometry(_frozen(cols), rows, _frozen(starts), _frozen(widths),
+                     _frozen(widths * band_height), _frozen(profile), ref_power, band)
 
 
 def _dc_total(amps: np.ndarray, config: OpticalConfig) -> float:
@@ -353,24 +345,19 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
     band_obj = np.repeat(amps, geo.widths)
     shape = geo.band.image_dims
     obj = np.broadcast_to(band_obj, shape)
-    sd = float(noise.phase_inhomogeneity_sd)
-    if sd > 0.0:
-        phase_field = np.random.default_rng(field_seq).normal(0.0, sd, shape)
-        obj = obj * np.exp(1j * phase_field)
+    if noise.phase_inhomogeneity_sd > 0.0:
+        field = np.random.default_rng(field_seq).normal(0.0, noise.phase_inhomogeneity_sd, shape)
+        obj = obj * np.exp(1j * field)
     level = np.abs(obj) ** 2  # frame 0: the reference is blocked
 
     # The piezo moves once per frame, so each step gets a single phase error.
-    jitter = np.random.default_rng(jitter_seq).standard_normal(3) * float(
-        noise.phase_step_jitter_sd
-    )
-
-    photons = float(noise.photons_per_frame)
+    jitter = np.random.default_rng(jitter_seq).standard_normal(3) * noise.phase_step_jitter_sd
 
     def shots(cfg, seq):
         """Shot-noise draws on a fresh stream of ``seq`` at ``cfg``'s photon scale."""
-        if photons <= 0.0:
+        if noise.photons_per_frame <= 0.0:
             return lambda intensity: intensity
-        scale, rng = photons / _dc_total(amps, cfg), np.random.default_rng(seq)
+        scale, rng = noise.photons_per_frame / _dc_total(amps, cfg), np.random.default_rng(seq)
         return lambda intensity: rng.poisson(scale * intensity + noise.dark_rate).astype(float)
 
     if pick is not None:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, BadIndex, DimensionMismatch
-from .states import DensityMatrix, PureState, _check_int, _json_int
+from .states import (DensityMatrix, PureState, _check_int, _check_real, _frozen, _json_floats,
+                     _json_int)
 
 #: Reference phase offsets pi/4, 3pi/4, 5pi/4 of the three interference steps.
 STEP_PHASES: tuple[float, float, float] = tuple(
@@ -65,11 +66,9 @@ class ProjectorOutcomes:
 
     def __post_init__(self) -> None:
         # Read-only views of the caller's arrays, not copies: theirs stay writeable.
-        for name in ("populations", "interference"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).view())
+        vars(self).update({name: _frozen(np.asarray(getattr(self, name), dtype=float).view())
+                           for name in ("populations", "interference")})
         _check_rows(self.dim, self.ref_index, self.populations, self.interference, self.kind)
-        for arr in (self.populations, self.interference):
-            arr.setflags(write=False)
 
     @classmethod
     def _rows(cls, dim, refs, populations, interference, kind) -> list["ProjectorOutcomes"]:
@@ -79,9 +78,8 @@ class ProjectorOutcomes:
         lit = np.zeros(len(refs), dtype=bool)
         if kind == "count":
             populations, interference, lit = _per_total(populations, interference)
-        populations, interference = populations.view(), interference.view()
-        for arr in (populations, interference):  # so every row's slices are read-only too
-            arr.setflags(write=False)
+        # Views, so the caller's arrays stay writeable and every row's slices are read-only.
+        populations, interference = _frozen(populations.view()), _frozen(interference.view())
         rows = [cls.__new__(cls) for _ in range(len(refs))]  # no __post_init__: checked above
         for row, r, p, t, scaled in zip(rows, refs.tolist(), populations, interference, lit):
             vars(row).update(dim=dim, ref_index=r, populations=p, interference=t,
@@ -111,8 +109,8 @@ class ProjectorOutcomes:
         return cls(
             dim=_json_int(payload["dim"]),
             ref_index=_json_int(payload["ref_index"]),
-            populations=np.asarray(payload["populations"], dtype=float),
-            interference=np.asarray(payload["interference"], dtype=float),
+            populations=_json_floats(payload["populations"]),
+            interference=_json_floats(payload["interference"]),
             kind=str(payload.get("kind", "probability")),
         )
 
@@ -228,9 +226,7 @@ def sample_counts(outcomes: ProjectorOutcomes, noise, seed) -> ProjectorOutcomes
     therefore always yields zero counts.  Identical (outcomes, noise, seed)
     reproduce identical counts.
     """
-    photons = float(noise.photons_per_frame)
-    if photons <= 0.0:
-        raise ValueError("sampling counts requires photons_per_frame > 0")
+    photons = _check_real(noise.photons_per_frame, "photons_per_frame for counts", positive=True)
     probs = outcomes.normalized()
     rng = np.random.default_rng(seed)
     pops = rng.poisson(probs.populations * photons).astype(float)

@@ -29,7 +29,8 @@ from .errors import (AllZero, BadIndex, DegenerateFringe, NonpositiveReference, 
                      ZeroResultant)
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, measurement_plan
-from .states import PHASE_PIVOT, PureState, _canonical_phase, _check_int, _norm, normalize
+from .states import (PHASE_PIVOT, PureState, _canonical_phase, _check_int, _check_real, _frozen,
+                     _norm, normalize)
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
 #: strongest population.
@@ -180,17 +181,10 @@ def certify_purity(
     return _purity_check(p, g, r, ref_index, tau)
 
 
-def _slack(tau, name: str = "tau") -> float:
-    """The purity slack as a float; refused unless finite and non-negative."""
-    if not 0.0 <= float(tau) < math.inf:  # NaN fails too
-        raise ValueError(f"{name} must be finite and non-negative, got {tau!r}")
-    return float(tau)
-
-
 def _purity_check(p, g, r, ref_index: int, tau) -> PurityCheck:
     """certify_purity on finite float arrays; ``r`` may be a float.  One pass in
     Python floats: at d = 2..14 cheaper than numpy calls, and rounded alike."""
-    tau = _slack(tau)
+    tau = _check_real(tau, "tau")
     p, g = p.tolist(), g.tolist()
     r = [r] * len(p) if isinstance(r, float) else r.tolist()
     eps = WEAK_FRACTION * max(p, default=0.0)
@@ -205,10 +199,8 @@ def _purity_check(p, g, r, ref_index: int, tau) -> PurityCheck:
             margins.append(math.nan)
             if k != ref_index:
                 unverifiable.append(k)
-    bound, margins = np.array(bound), np.array(margins)
-    for arr in (bound, margins):
-        arr.setflags(write=False)
-    return PurityCheck(pure, margins, tuple(unverifiable), tau, bound)
+    return PurityCheck(pure, _frozen(np.array(margins)), tuple(unverifiable), tau,
+                       _frozen(np.array(bound)))
 
 
 @dataclass(frozen=True)
@@ -297,10 +289,9 @@ def _report(amps, pops, gamma, ref_level, r: int, tau, plan: str) -> Reconstruct
     """
     state = normalize(_canonical_phase(amps, PHASE_PIVOT * _norm(amps)))
     verdict = _purity_check(pops, gamma, ref_level, r, tau)
-    gamma.setflags(write=False)
     return ReconstructionReport(
         state=state,
-        per_slit_visibility=gamma,
+        per_slit_visibility=_frozen(gamma),
         purity_verdict=verdict,
         reference_used=r,
         outcome_budget=_budget(amps.size, plan),

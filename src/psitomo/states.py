@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, ZeroVector
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
 PHASE_PIVOT = 1e-9
+_REALS = (float, int, np.integer, np.floating)  # the types _check_real takes, bools aside
 
 # Azimuth increment of the Fibonacci lattice, pi * (3 - sqrt(5)).
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -45,8 +46,7 @@ class PureState:
             raise ValueError(
                 f"amplitudes are not unit-norm: sum |c_k|^2 = {norm_sq:.17g}"
             )
-        arr.setflags(write=False)
-        self._amps = arr
+        self._amps = _frozen(arr)
 
     @property
     def amps(self) -> np.ndarray:
@@ -81,8 +81,7 @@ class PureState:
     @classmethod
     def from_dict(cls, payload: dict) -> "PureState":
         dim = _json_int(payload["dim"])
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
+        re, im = _json_floats(payload["re"]), _json_floats(payload["im"])
         if re.shape != (dim,) or im.shape != (dim,):
             raise ValueError("re/im length does not match dim")
         return cls(re + 1j * im)
@@ -109,8 +108,7 @@ class DensityMatrix:
         lowest = float(np.linalg.eigvalsh(mat)[0])
         if lowest < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
-        mat.setflags(write=False)
-        self._matrix = mat
+        self._matrix = _frozen(mat)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -139,6 +137,15 @@ def _json_int(value) -> int:
     return int(value)
 
 
+def _json_floats(values) -> np.ndarray:
+    """A JSON number array (nested lists too) as floats; a string or bool entry is a TypeError."""
+    arr = np.asarray(values, dtype=object)
+    for v in arr.flat:
+        if isinstance(v, (bool, str)):
+            raise TypeError(f"expected a number, got {v!r}")
+    return arr.astype(float)
+
+
 def _check_int(value, what: str, lo=0, hi: int | None = None, error=ValueError) -> None:
     """The one integer rule: raise ``error`` unless ``value`` is an int or np.integer, never a
     bool, in lo..hi-1, or at least ``lo`` with no ``hi``; an integer-dtype array entry by entry.
@@ -153,6 +160,21 @@ def _check_int(value, what: str, lo=0, hi: int | None = None, error=ValueError) 
         return
     raise error(f"{what}, got {value!r}" if hi is None
                 else f"{what} {value} outside {lo}..{hi - 1}")
+
+
+def _check_real(value, what: str, positive: bool = False) -> float:
+    """The one real-number rule: a finite non-negative (or ``positive``) real as a float."""
+    if isinstance(value, _REALS) and not isinstance(value, bool):
+        if (0.0 < value if positive else 0.0 <= value) and value < math.inf:  # NaN fails too
+            return float(value)
+    sign = "positive" if positive else "non-negative"
+    raise ValueError(f"{what} must be finite and {sign}, got {value!r}")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place; pass a .view() to leave the caller's array writeable."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _canonical_phase(amps: np.ndarray, floor: float = PHASE_PIVOT) -> np.ndarray:
