@@ -30,7 +30,7 @@ from .reconstruct import (
     reconstruct_from_frames,
     reconstruct_from_outcomes,
 )
-from .states import PureState, _check_int, _check_real, bloch_grid, fidelity, normalize
+from .states import PureState, _check_int, _check_real, _is_real, bloch_grid, fidelity, normalize
 
 PIPELINES = ("outcomes", "frames")
 REFERENCE_MODES = ("fixed", "adaptive", "extra_slit")
@@ -385,11 +385,11 @@ def calibrate_noise(
     """
     if dim != template.dim:
         raise ValueError(f"dim {dim} differs from the template's dim {template.dim}")
-    if not 0.0 < target_mean_fidelity < 1.0:
+    if not (_is_real(target_mean_fidelity) and 0.0 < target_mean_fidelity < 1.0):
         raise ValueError("target mean fidelity must lie strictly inside (0, 1)")
     tol = _check_real(tol, "tol", positive=True)
-    lo, hi = (float(bracket[0]), float(bracket[1]))
-    if not 0.0 < lo < hi < math.inf:  # NaN fails too
+    lo, hi = bracket[0], bracket[1]
+    if not (_is_real(lo) and _is_real(hi) and 0.0 < lo < hi < math.inf):  # NaN fails too
         raise ValueError(f"bracket must satisfy 0 < low < high < inf, got {bracket!r}")
 
     probe_root = trial_seed(template.root_seed, _CALIBRATION_TAG)
@@ -413,7 +413,7 @@ def calibrate_noise(
         noise = template.noise.with_photons(photons)
         fid = run_batch(replace(base, noise=noise)).mean_fidelity
         if abs(fid - target) <= tol:
-            return CalibrationResult(noise, photons, fid, evals)
+            return CalibrationResult(noise, noise.photons_per_frame, fid, evals)
         if evals == 1:
             f_lo = fid
         elif evals == 2:

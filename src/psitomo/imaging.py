@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigMismatch
 from .projectors import STEP_PHASES
-from .states import PureState, _check_int, _check_real, _frozen, _json_int
+from .states import PureState, _check_finite, _check_int, _check_real, _frozen, _json_int
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
 DISPLAY_SLIT_PITCH = 30
@@ -122,6 +122,8 @@ class OpticalConfig:
             if x < end:
                 raise ValueError("ROIs must ascend in x and must not overlap")
             end = x + w
+        object.__setattr__(self, "image_dims", tuple(self.image_dims))  # a cache key must hash
+        object.__setattr__(self, "roi_layout", tuple(map(tuple, self.roi_layout)))
         declared = tuple(_check_real(v, "envelope entries") for v in self.ref_envelope)
         derived = declared if self.envelope_kind == "custom" else _envelope_values(self)
         object.__setattr__(self, "ref_envelope", declared or derived)
@@ -216,10 +218,9 @@ class Interferogram:
     def __post_init__(self) -> None:
         _check_int(self.step_index, "step index", 0, CALIBRATION_STEP + 1)
         arr = _frozen(np.asarray(self.pixels, dtype=float).view())  # the caller's stays writeable
-        if arr.shape != tuple(self.config.image_dims):
+        if arr.shape != self.config.image_dims:
             raise ValueError("pixel array does not match the configured image size")
-        if not np.isfinite(arr).all():
-            raise ValueError("pixel values must be finite")
+        _check_finite(arr, "pixel values")
         object.__setattr__(self, "pixels", arr)
 
     def roi(self, k: int) -> np.ndarray:

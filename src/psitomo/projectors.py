@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, BadIndex, DimensionMismatch
-from .states import (DensityMatrix, PureState, _check_int, _check_real, _frozen, _json_floats,
-                     _json_int)
+from .states import (DensityMatrix, PureState, _check_finite, _check_int, _check_real, _frozen,
+                     _json_floats, _json_int)
 
 #: Reference phase offsets pi/4, 3pi/4, 5pi/4 of the three interference steps.
 STEP_PHASES: tuple[float, float, float] = tuple(
@@ -125,10 +125,8 @@ def _check_rows(dim, refs, populations, interference, kind) -> None:
         raise ValueError("populations must have shape (dim,)")
     if interference.shape != np.shape(refs) + (dim - 1, 3):
         raise ValueError("interference must have shape (dim - 1, 3)")
-    if not (np.isfinite(populations).all() and np.isfinite(interference).all()):
-        raise ValueError("outcome values must be finite")
-    if min(populations.min(), interference.min()) < 0:
-        raise ValueError("outcome values cannot be negative")
+    _check_finite(populations, "outcome values", nonneg=True)
+    _check_finite(interference, "outcome values", nonneg=True)
     total = np.add.reduce(populations, axis=-1) if kind == "probability" else 1.0
     off = np.extract(abs(total - 1.0) > 1e-9, total)
     if off.size:

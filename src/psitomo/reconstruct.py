@@ -29,8 +29,8 @@ from .errors import (AllZero, BadIndex, DegenerateFringe, NonpositiveReference, 
                      ZeroResultant)
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, measurement_plan
-from .states import (PHASE_PIVOT, PureState, _canonical_phase, _check_int, _check_real, _frozen,
-                     _norm, normalize)
+from .states import (PHASE_PIVOT, PureState, _canonical_phase, _check_finite, _check_int,
+                     _check_real, _frozen, _norm, normalize)
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
 #: strongest population.
@@ -51,11 +51,6 @@ _RESULTANT_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 
 
-def _require_finite(values, what: str) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what} must be finite")
-
-
 def psi_phase(i1: float, i2: float, i3: float) -> float:
     """Fringe phase in (-pi, pi] from the three stepped intensities.
 
@@ -63,7 +58,7 @@ def psi_phase(i1: float, i2: float, i3: float) -> float:
     exceeds DEGENERATE_FRACTION times the largest absolute intensity: the rule
     by which reconstruct_from_frames keeps a pixel.
     """
-    _require_finite((i1, i2, i3), "intensities")
+    _check_finite((i1, i2, i3), "intensities")
     d1 = float(i1) - float(i2)
     d3 = float(i3) - float(i2)
     eps = DEGENERATE_FRACTION * max(abs(float(i1)), abs(float(i2)), abs(float(i3)))
@@ -76,12 +71,10 @@ def psi_phase(i1: float, i2: float, i3: float) -> float:
 
 def psi_visibility(i1: float, i2: float, i3: float, i0: float) -> float:
     """Fringe visibility gamma from the stepped intensities and the mean level."""
-    _require_finite((i1, i2, i3, i0), "intensities")
+    _check_finite((i1, i2, i3, i0), "intensities")
     if not i0 > 0.0:
         raise NonpositiveReference(f"mean intensity must be positive, got {i0!r}")
-    return math.hypot(float(i1) - float(i2), float(i3) - float(i2)) / (
-        math.sqrt(2.0) * float(i0)
-    )
+    return math.hypot(float(i1) - float(i2), float(i3) - float(i2)) / (_SQRT2 * float(i0))
 
 
 def circular_mean(phases, weights=None) -> float:
@@ -93,16 +86,14 @@ def circular_mean(phases, weights=None) -> float:
     ph = np.asarray(phases, dtype=float).ravel()
     if ph.size == 0:
         raise ValueError("need at least one phase")
-    _require_finite(ph, "phases")
+    _check_finite(ph, "phases")
     if weights is None:
         w = np.ones_like(ph)
     else:
         w = np.asarray(weights, dtype=float).ravel()
         if w.shape != ph.shape:
             raise ValueError("weights must match phases in length")
-        _require_finite(w, "weights")
-        if np.min(w) < 0.0:
-            raise ValueError("weights cannot be negative")
+        _check_finite(w, "weights", nonneg=True)
     wsum = float(w.sum())
     if wsum <= 0.0:
         raise ValueError("weights must have positive sum")
@@ -120,9 +111,7 @@ def choose_reference(populations) -> int:
         raise ValueError("populations must be 1-D")
     if pops.size == 0:
         raise ValueError("need at least one population")
-    _require_finite(pops, "populations")
-    if np.min(pops) < 0.0:
-        raise ValueError("populations cannot be negative")
+    _check_finite(pops, "populations", nonneg=True)
     if float(pops.max()) <= 0.0:
         raise AllZero("all populations are zero")
     return int(np.argmax(pops))
@@ -177,7 +166,7 @@ def certify_purity(
         raise ValueError("populations and visibilities must be 1-D")
     _check_int(ref_index, "reference index", 0, p.size, BadIndex)
     r = np.broadcast_to(np.asarray(ref_population, dtype=float), p.shape)
-    _require_finite((p, g, r), "populations, visibilities and reference levels")
+    _check_finite((p, g, r), "populations, visibilities and reference levels")
     return _purity_check(p, g, r, ref_index, tau)
 
 

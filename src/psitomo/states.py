@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, ZeroVector
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
 PHASE_PIVOT = 1e-9
-_REALS = (float, int, np.integer, np.floating)  # the types _check_real takes, bools aside
+_REALS = (float, int, np.integer, np.floating)  # the types _is_real takes, bools aside
 
 # Azimuth increment of the Fibonacci lattice, pi * (3 - sqrt(5)).
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -98,8 +98,7 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if mat.shape[0] < 2:
             raise ValueError("qudit dimension must be at least 2")
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix entries must be finite")
+        _check_finite(mat, "density matrix entries")
         if np.max(np.abs(mat - mat.conj().T)) > NORM_TOL:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(mat))
@@ -138,10 +137,10 @@ def _json_int(value) -> int:
 
 
 def _json_floats(values) -> np.ndarray:
-    """A JSON number array (nested lists too) as floats; a string or bool entry is a TypeError."""
+    """A JSON number array (nested lists too) as floats; a non-real entry is a TypeError."""
     arr = np.asarray(values, dtype=object)
     for v in arr.flat:
-        if isinstance(v, (bool, str)):
+        if not _is_real(v):
             raise TypeError(f"expected a number, got {v!r}")
     return arr.astype(float)
 
@@ -164,11 +163,23 @@ def _check_int(value, what: str, lo=0, hi: int | None = None, error=ValueError) 
 
 def _check_real(value, what: str, positive: bool = False) -> float:
     """The one real-number rule: a finite non-negative (or ``positive``) real as a float."""
-    if isinstance(value, _REALS) and not isinstance(value, bool):
-        if (0.0 < value if positive else 0.0 <= value) and value < math.inf:  # NaN fails too
-            return float(value)
+    if _is_real(value) and (0.0 < value if positive else 0.0 <= value) and value < math.inf:
+        return float(value)  # NaN fails each comparison
     sign = "positive" if positive else "non-negative"
     raise ValueError(f"{what} must be finite and {sign}, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """The real rule's type test: an int, float or numpy real, never a bool or a str."""
+    return isinstance(value, _REALS) and not isinstance(value, bool)
+
+
+def _check_finite(values, what: str, nonneg: bool = False) -> None:
+    """The one array rule: every entry of ``values`` finite and, with ``nonneg``, none below 0."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    if nonneg and np.minimum.reduce(values, axis=None) < 0:
+        raise ValueError(f"{what} cannot be negative")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -282,7 +293,7 @@ def purity(rho: DensityMatrix) -> float:
 
 def depolarized(psi: PureState, visibility: float) -> DensityMatrix:
     """Isotropic mixture v |psi><psi| + (1 - v) I/d."""
-    if not 0.0 <= visibility <= 1.0:
+    if not (_is_real(visibility) and 0.0 <= visibility <= 1.0):
         raise ValueError("mixing parameter must lie in [0, 1]")
     d = psi.dim
     mat = visibility * np.outer(psi.amps, psi.amps.conj())
