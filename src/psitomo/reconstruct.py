@@ -30,7 +30,7 @@ from .errors import (AllZero, BadIndex, DegenerateFringe, NonpositiveReference, 
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, measurement_plan
 from .states import (PHASE_PIVOT, PureState, _canonical_phase, _check_finite, _check_int,
-                     _check_real, _frozen, _norm, normalize)
+                     _check_real, _frozen, _is_real, _norm, normalize)
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
 #: strongest population.
@@ -51,6 +51,31 @@ _RESULTANT_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 
 
+def _fringe(i1, i2, i3, peak):
+    """The three-step fringe (arrays, or floats for one pixel): d1, d3, the modulation
+    hypot(d1, d3), and whether it exceeds DEGENERATE_FRACTION * ``peak`` (max |I|)."""
+    d1, d3 = i1 - i2, i3 - i2
+    modulation = np.hypot(d1, d3)
+    return d1, d3, modulation, modulation > DEGENERATE_FRACTION * peak
+
+
+def _direction(re, im, weight):
+    """The angle of resultants re + i im in (-pi, pi] (arrays or floats), and whether their
+    length reaches _RESULTANT_TOL of ``weight``, their total weight; never where it is 0."""
+    length = np.divide(np.hypot(re, im), weight, out=np.zeros_like(weight), where=weight > 0)
+    angle = np.arctan2(im, re)
+    return np.where(angle == -math.pi, math.pi, angle), length >= _RESULTANT_TOL
+
+
+def _pixel(intensities: tuple):
+    """_fringe on one pixel: the stepped triple, and any level, checked as real scalars."""
+    if not all(map(_is_real, intensities)):
+        raise ValueError(f"intensities must be real numbers, got {intensities!r}")
+    _check_finite(intensities, "intensities")
+    i1, i2, i3 = (float(v) for v in intensities[:3])
+    return _fringe(i1, i2, i3, max(abs(i1), abs(i2), abs(i3)))
+
+
 def psi_phase(i1: float, i2: float, i3: float) -> float:
     """Fringe phase in (-pi, pi] from the three stepped intensities.
 
@@ -58,23 +83,18 @@ def psi_phase(i1: float, i2: float, i3: float) -> float:
     exceeds DEGENERATE_FRACTION times the largest absolute intensity: the rule
     by which reconstruct_from_frames keeps a pixel.
     """
-    _check_finite((i1, i2, i3), "intensities")
-    d1 = float(i1) - float(i2)
-    d3 = float(i3) - float(i2)
-    eps = DEGENERATE_FRACTION * max(abs(float(i1)), abs(float(i2)), abs(float(i3)))
-    modulation = float(np.hypot(d1, d3))  # numpy's, as reconstruct_from_frames takes it
-    if not modulation > eps:
-        raise DegenerateFringe(f"fringe modulation {modulation:.3e} not above {eps:.3e}")
-    phase = math.atan2(d3, d1)
-    return math.pi if phase == -math.pi else phase
+    d1, d3, modulation, usable = _pixel((i1, i2, i3))
+    if not usable:
+        raise DegenerateFringe(f"fringe modulation {modulation:.3e} is degenerate")
+    return float(_direction(d1, d3, modulation)[0])
 
 
 def psi_visibility(i1: float, i2: float, i3: float, i0: float) -> float:
     """Fringe visibility gamma from the stepped intensities and the mean level."""
-    _check_finite((i1, i2, i3, i0), "intensities")
+    modulation = _pixel((i1, i2, i3, i0))[2]
     if not i0 > 0.0:
         raise NonpositiveReference(f"mean intensity must be positive, got {i0!r}")
-    return math.hypot(float(i1) - float(i2), float(i3) - float(i2)) / (_SQRT2 * float(i0))
+    return float(modulation / (_SQRT2 * float(i0)))
 
 
 def circular_mean(phases, weights=None) -> float:
@@ -97,11 +117,10 @@ def circular_mean(phases, weights=None) -> float:
     wsum = float(w.sum())
     if wsum <= 0.0:
         raise ValueError("weights must have positive sum")
-    resultant = complex(np.sum(w * np.exp(1j * ph)) / wsum)
-    if abs(resultant) < _RESULTANT_TOL:
-        raise ZeroResultant(f"resultant length {abs(resultant):.3e} is below 1e-12")
-    angle = math.atan2(resultant.imag, resultant.real)
-    return math.pi if angle == -math.pi else angle
+    angle, defined = _direction(w @ np.cos(ph), w @ np.sin(ph), wsum)
+    if not defined:
+        raise ZeroResultant("the weighted directions cancel: their resultant has no direction")
+    return float(angle)
 
 
 def choose_reference(populations) -> int:
@@ -333,11 +352,8 @@ def reconstruct_from_frames(
     per_slit = geo.per_slit
     roi0, roi1, roi2, roi3 = (geo.gather(by_step[s]) for s in range(4))
     pops = geo.per_slit_mean(roi0)
-    d1 = roi1 - roi2
-    d3 = roi3 - roi2
-    modulation = np.hypot(d1, d3)
     peak = per_slit(np.maximum(np.maximum(abs(roi1), abs(roi2)), abs(roi3)), np.maximum)
-    usable = modulation > np.repeat(DEGENERATE_FRACTION * peak, geo.widths)
+    d1, d3, modulation, usable = _fringe(roi1, roi2, roi3, np.repeat(peak, geo.widths))
 
     if calibration is not None:
         cal = geo.gather(calibration)
@@ -345,27 +361,21 @@ def reconstruct_from_frames(
         ref_level = geo.per_slit_mean(cal)
     else:
         level = 0.5 * (roi1 + roi3)
-        ref_level = np.maximum(geo.per_slit_mean(level) - pops, 0.0)
+        ref_level = geo.per_slit_mean(level) - pops
     lit = level > 0.0
-    ratio = np.divide(
-        modulation, math.sqrt(2.0) * level, out=np.zeros_like(level), where=lit
-    )
+    ratio = np.divide(modulation, _SQRT2 * level, out=np.zeros_like(level), where=lit)
     n_lit = per_slit(lit)
     gamma = np.divide(per_slit(ratio), n_lit, out=np.zeros(n), where=n_lit > 0)
 
     # sum w e^{i phi} with w = hypot(d1, d3) is sum (d1 + i d3).
-    weight = per_slit(np.where(usable, modulation, 0.0))
-    re = per_slit(np.where(usable, d1, 0.0))
-    im = per_slit(np.where(usable, d3, 0.0))
+    weight, re, im = (per_slit(np.where(usable, x, 0.0)) for x in (modulation, d1, d3))
     if not weight[r] > 0.0:
         raise DegenerateFringe(f"reference ROI {r} shows no usable fringe modulation")
-    resultant = np.divide(np.hypot(re, im), weight, out=np.zeros_like(weight), where=weight > 0)
-    defined = resultant >= _RESULTANT_TOL
+    angle, defined = _direction(re, im, weight)
     if not defined[r]:
         raise DegenerateFringe(f"reference ROI {r} phase is undefined")
     # No recoverable phase keeps phase 0; the modulus (typically ~0) still counts.
-    phases = np.where(defined, np.arctan2(im, re), 0.0)
-    phases[phases == -math.pi] = math.pi
+    phases = np.where(defined, angle, 0.0)
 
     amps = np.sqrt(np.clip(pops, 0.0, None)) * np.exp(1j * (phases - phases[r]))
     return _report(amps, pops, gamma, ref_level, r, tau, "image")

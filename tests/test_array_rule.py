@@ -2,9 +2,9 @@
 
 Each array is refused with NaN and with inf, and, where it counts photons or
 weights, with -1; the error is a ValueError whose whole message names the
-array.  This file also covers the real rule's type test on the calibration
-and mixing arguments and on JSON number arrays, and optical geometry built
-from lists.
+array.  This file also covers the real rule's type test on the fringe
+helpers' intensities, on the calibration and mixing arguments and on JSON
+number arrays, and optical geometry built from lists.
 """
 
 import json
@@ -126,6 +126,31 @@ def test_outcome_rows_check_populations_before_the_table():
 
 
 # ------------------------------------------------------------ the real rule's type test
+
+
+_PIXEL_ARGS = {psi_phase: (3, 1, 2), psi_visibility: (3, 1, 2, 2)}
+_PIXEL_POSITIONS = [pytest.param(helper, k, id=f"{helper.__name__}-{k}")
+                    for helper, args in _PIXEL_ARGS.items() for k in range(len(args))]
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, 1j], ids=["true", "string", "none", "complex"])
+@pytest.mark.parametrize("helper, position", _PIXEL_POSITIONS)
+def test_fringe_helpers_refuse_an_intensity_that_is_not_real(helper, position, bad):
+    args = list(_PIXEL_ARGS[helper])
+    args[position] = bad
+    with pytest.raises(ValueError, match=r"^intensities must be real numbers, got \(") as info:
+        helper(*args)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("real", [np.float64, np.int64])
+@pytest.mark.parametrize("helper, position", _PIXEL_POSITIONS)
+def test_fringe_helpers_take_numpy_reals(helper, position, real):
+    args = list(_PIXEL_ARGS[helper])
+    expected = helper(*args)
+    args[position] = real(args[position])
+    got = helper(*args)
+    assert type(got) is float and got == expected
 
 
 def _calibration_spec():

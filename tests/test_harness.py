@@ -28,7 +28,7 @@ from psitomo import (
 )
 from psitomo import harness
 from psitomo.errors import AllZero, Unattainable, WeakReference
-from psitomo.harness import OUTCOME_CHUNK, CalibrationResult, _streams
+from psitomo.harness import OUTCOME_CHUNK, CalibrationResult, _histogram_edges, _streams
 
 
 def spec_of(dim=3, n=8, **kw):
@@ -672,3 +672,8 @@ def test_spec_optics_default_to_the_layout_of_the_mode(mode):
     assert "optics" not in {f.name for f in fields(ExperimentSpec)}
     assert spec == spec_of(dim=3, reference_mode=mode)
     assert replace(spec, dim=5).optics == OpticalConfig.for_dim(5, extra_reference=extra)
+
+
+def test_histogram_edges_of_perfect_fidelities_start_1e9_below_one():
+    edges = _histogram_edges(np.ones(5))
+    assert edges[0] == 1.0 - 1e-9 and edges[-1] == 1.0

@@ -242,6 +242,19 @@ def test_certify_purity_skips_weak_slits():
     assert check.unverifiable == (1,)
 
 
+@pytest.mark.parametrize("invert", [
+    lambda psi: reconstruct_from_outcomes(exact_outcomes(psi)),
+    lambda psi: reconstruct_from_frames(render_frames(psi, OpticalConfig.for_dim(3))),
+], ids=["outcomes", "frames"])
+def test_slits_either_side_of_the_weak_fraction(invert):
+    # WEAK_FRACTION is 1e-4: a slit at 2e-4 of the peak population is
+    # verified, and one at 5e-5 of it is not.
+    psi = normalize(np.sqrt([1.0, 2e-4, 5e-5]) * np.exp(1j * np.array([0.0, 0.7, -1.9])))
+    verdict = invert(psi).purity_verdict
+    assert verdict.unverifiable == (2,)
+    assert np.isfinite(verdict.margins[1])
+
+
 def test_certify_purity_vacuous_when_nothing_verifiable():
     pops = np.array([1.0, 1e-9])
     check = certify_purity(pops, np.array([1.0, 0.0]), 1.0, ref_index=0)
