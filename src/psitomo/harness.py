@@ -23,14 +23,15 @@ import numpy as np
 from .errors import TomographyError, Unattainable
 from .imaging import NoiseModel, OpticalConfig, _object_amplitudes, _render, _steps
 from .pgmio import write_json
-from .projectors import STEP_PHASES, ProjectorOutcomes, _two_beam_table
+from .projectors import ProjectorOutcomes, _counts, _step_phases, _two_beam_table
 from .reconstruct import (
     TAU_PURITY,
     choose_reference,
     reconstruct_from_frames,
     reconstruct_from_outcomes,
 )
-from .states import PureState, _check_int, _check_real, _is_real, bloch_grid, fidelity, normalize
+from .states import (PureState, _check_int, _check_real, _haar, _is_real, bloch_grid, fidelity,
+                     normalize)
 
 PIPELINES = ("outcomes", "frames")
 REFERENCE_MODES = ("fixed", "adaptive", "extra_slit")
@@ -199,8 +200,7 @@ def generate_states(spec: ExperimentSpec) -> list[PureState]:
     states = []
     for c, start in enumerate(range(0, src.n, OUTCOME_CHUNK)):
         rows = min(OUTCOME_CHUNK, src.n - start)
-        z = _streams(chunk_seed(spec.root_seed, c))[0].standard_normal((rows, 2, spec.dim))
-        states += [normalize(v) for v in z[:, 0] + 1j * z[:, 1]]
+        states += _haar(_streams(chunk_seed(spec.root_seed, c))[0], rows, spec.dim)
     return states
 
 
@@ -217,22 +217,15 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
     if spec.optics.n_slits > spec.dim:
         amps = amps / math.sqrt(2.0)
     pops = np.abs(amps) ** 2
-    measured = pops
-    if photons > 0.0:
-        measured = population_rng.poisson(pops * photons).astype(float)
+    measured = _counts(population_rng, pops, photons)
     ref = np.full(len(states), spec.optics.ref_index)
     if spec.reference_mode == "adaptive":
         # choose_reference row by row: the first strongest population.
         ref = np.argmax(measured, axis=1)
-
-    # One phase error per step: the stepping element moves once per setting
-    # and every slit pairing inherits that same error.
-    jitter = jitter_rng.standard_normal((len(states), 3)) * spec.noise.phase_step_jitter_sd
+    phases = _step_phases(jitter_rng, spec.noise.phase_step_jitter_sd, (len(states),))
     coherence = amps[np.arange(len(states)), ref][:, None] * np.conj(amps)
-    tables = _two_beam_table(pops, coherence, ref, np.asarray(STEP_PHASES) + jitter)
+    tables = _counts(count_rng, _two_beam_table(pops, coherence, ref, phases), photons)
     kind = "count" if photons > 0.0 else "probability"
-    if photons > 0.0:
-        tables = count_rng.poisson(tables * photons).astype(float)
 
     rows = ProjectorOutcomes._rows(amps.shape[1], ref, measured, tables, kind)
     return lambda j: reconstruct_from_outcomes(rows[j], tau=spec.tau_purity)

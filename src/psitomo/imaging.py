@@ -24,8 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigMismatch
-from .projectors import STEP_PHASES
-from .states import PureState, _check_finite, _check_int, _check_real, _frozen, _json_int
+from .projectors import _counts, _step_phases
+from .states import (PureState, _check_finite, _check_int, _check_real, _check_seed, _frozen,
+                     _json_int)
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
 DISPLAY_SLIT_PITCH = 30
@@ -338,6 +339,7 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
         # children (spawn() would otherwise advance the parent's state).
         seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
     else:
+        _check_seed(seed)
         seed = np.random.SeedSequence(seed)
     field_seq, jitter_seq, shot_seq, background_seq = seed.spawn(4)
 
@@ -350,16 +352,12 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
         field = np.random.default_rng(field_seq).normal(0.0, noise.phase_inhomogeneity_sd, shape)
         obj = obj * np.exp(1j * field)
     level = np.abs(obj) ** 2  # frame 0: the reference is blocked
-
-    # The piezo moves once per frame, so each step gets a single phase error.
-    jitter = np.random.default_rng(jitter_seq).standard_normal(3) * noise.phase_step_jitter_sd
+    phases = _step_phases(np.random.default_rng(jitter_seq), noise.phase_step_jitter_sd)
 
     def shots(cfg, seq):
         """Shot-noise draws on a fresh stream of ``seq`` at ``cfg``'s photon scale."""
-        if noise.photons_per_frame <= 0.0:
-            return lambda intensity: intensity
         scale, rng = noise.photons_per_frame / _dc_total(amps, cfg), np.random.default_rng(seq)
-        return lambda intensity: rng.poisson(scale * intensity + noise.dark_rate).astype(float)
+        return lambda intensity: _counts(rng, intensity, scale, noise.dark_rate)
 
     if pick is not None:
         config = pick(geo.per_slit_mean(shots(config, shot_seq)(level)))
@@ -376,10 +374,9 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
         else:
             # The stepped reference is delayed, not advanced: a positive
             # piezo step lengthens its path, multiplying the reference field
-            # by e^{-i delta}.  This sign makes the recovered fringe phase
-            # equal arg(c_k) rather than its negative.
-            delta = STEP_PHASES[step - 1] + jitter[step - 1]
-            intensity = np.abs(obj + ref * np.exp(-1j * delta)) ** 2
+            # by e^{-i theta} at step phase theta.  This sign makes the
+            # recovered fringe phase equal arg(c_k) rather than its negative.
+            intensity = np.abs(obj + ref * np.exp(-1j * phases[step - 1])) ** 2
         frames.append(Interferogram(step, draw(intensity), geo.band))
     if roi_band:
         return frames

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, BadIndex, DimensionMismatch
-from .states import (DensityMatrix, PureState, _check_finite, _check_int, _check_real, _frozen,
-                     _json_floats, _json_int)
+from .states import (DensityMatrix, PureState, _check_finite, _check_int, _check_real,
+                     _check_seed, _frozen, _json_floats, _json_int)
 
 #: Reference phase offsets pi/4, 3pi/4, 5pi/4 of the three interference steps.
 STEP_PHASES: tuple[float, float, float] = tuple(
@@ -225,11 +225,27 @@ def sample_counts(outcomes: ProjectorOutcomes, noise, seed) -> ProjectorOutcomes
     reproduce identical counts.
     """
     photons = _check_real(noise.photons_per_frame, "photons_per_frame for counts", positive=True)
+    _check_seed(seed)
     probs = outcomes.normalized()
     rng = np.random.default_rng(seed)
-    pops = rng.poisson(probs.populations * photons).astype(float)
-    table = rng.poisson(probs.interference * photons).astype(float)
+    pops = _counts(rng, probs.populations, photons)
+    table = _counts(rng, probs.interference, photons)
     return ProjectorOutcomes(outcomes.dim, outcomes.ref_index, pops, table, kind="count")
+
+
+def _counts(rng, expected, scale, dark=0.0):
+    """The one shot-noise draw: Poisson counts of mean ``scale * expected + dark``, as
+    floats; with no photons (``scale <= 0``) ``expected`` itself, and nothing is drawn."""
+    if scale <= 0.0:
+        return expected
+    return rng.poisson(scale * expected + dark).astype(float)
+
+
+def _step_phases(rng, sd, rows=()):
+    """The one step-jitter draw: STEP_PHASES plus one N(0, sd) error per step, in shape
+    ``rows + (3,)``.  The stepping element moves once per setting, so every slit pairing
+    of a setting inherits the same error."""
+    return np.asarray(STEP_PHASES) + rng.standard_normal(rows + (3,)) * sd
 
 
 @dataclass(frozen=True)

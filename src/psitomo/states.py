@@ -19,6 +19,7 @@ NORM_TOL = 1e-12
 PSD_TOL = 1e-10
 PHASE_PIVOT = 1e-9
 _REALS = (float, int, np.integer, np.floating)  # the types _is_real takes, bools aside
+_INT_OVERFLOW = 2**1024 - 2**970  # the least int that float() cannot convert
 
 # Azimuth increment of the Fibonacci lattice, pi * (3 - sqrt(5)).
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -170,8 +171,17 @@ def _check_real(value, what: str, positive: bool = False) -> float:
 
 
 def _is_real(value) -> bool:
-    """The real rule's type test: an int, float or numpy real, never a bool or a str."""
-    return isinstance(value, _REALS) and not isinstance(value, bool)
+    """The real rule's type test: an int, float or numpy real, never a bool, a str or an
+    int that float() cannot convert."""
+    return (isinstance(value, _REALS) and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) >= _INT_OVERFLOW))
+
+
+def _check_seed(seed) -> None:
+    """The sampler seed rule: a SeedSequence or Generator as it is, anything else by the
+    integer rule, so a bool or None (fresh OS entropy) is refused."""
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        _check_int(seed, "seed must be a non-negative integer or a SeedSequence")
 
 
 def _check_finite(values, what: str, nonneg: bool = False) -> None:
@@ -228,12 +238,18 @@ def haar_random(dim: int, seed) -> PureState:
 
     Real and imaginary parts are i.i.d. standard normal, then the vector is
     normalized; the resulting direction is uniform on the unit sphere in C^d.
-    ``seed`` may be an int, a SeedSequence, or a Generator.
+    ``seed`` may be a non-negative int, a SeedSequence, or a Generator.
     """
     _check_int(dim, "qudit dimension must be at least 2", 2)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return normalize(z)
+    _check_seed(seed)
+    return _haar(np.random.default_rng(seed), 1, dim)[0]
+
+
+def _haar(rng, rows: int, dim: int) -> list[PureState]:
+    """The one Haar draw: ``rows`` states from one (rows, 2, dim) array of normals, real
+    then imaginary parts, each row normalized."""
+    z = rng.standard_normal((rows, 2, dim))
+    return [normalize(v) for v in z[:, 0] + 1j * z[:, 1]]
 
 
 def bloch_grid(n: int) -> list[PureState]:

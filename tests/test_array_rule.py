@@ -133,7 +133,8 @@ _PIXEL_POSITIONS = [pytest.param(helper, k, id=f"{helper.__name__}-{k}")
                     for helper, args in _PIXEL_ARGS.items() for k in range(len(args))]
 
 
-@pytest.mark.parametrize("bad", [True, "1", None, 1j], ids=["true", "string", "none", "complex"])
+@pytest.mark.parametrize("bad", [True, "1", None, 1j, 10**400, -10**400],
+                         ids=["true", "string", "none", "complex", "huge-int", "minus-huge-int"])
 @pytest.mark.parametrize("helper, position", _PIXEL_POSITIONS)
 def test_fringe_helpers_refuse_an_intensity_that_is_not_real(helper, position, bad):
     args = list(_PIXEL_ARGS[helper])
@@ -168,8 +169,10 @@ def no_probes(monkeypatch):
 
 @pytest.mark.parametrize(
     "bracket",
-    [("1e2", "1e10"), (True, 1e10), (1e2, "1e10"), (1e2, 1j), (None, 1e10)],
-    ids=["strings", "true-low", "string-high", "complex-high", "none-low"],
+    [("1e2", "1e10"), (True, 1e10), (1e2, "1e10"), (1e2, 1j), (None, 1e10), (1, 10**400),
+     (-10**400, 1e10)],
+    ids=["strings", "true-low", "string-high", "complex-high", "none-low", "huge-int-high",
+         "minus-huge-int-low"],
 )
 def test_calibrate_noise_refuses_a_bracket_of_non_reals(no_probes, bracket):
     with pytest.raises(ValueError, match=r"bracket must satisfy 0 < low < high < inf, got \("):

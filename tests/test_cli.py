@@ -602,6 +602,10 @@ def _bloch_summary(where, text):
         (_frame_sidecar, _sidecar(step=True), "integer"),
         (_outcomes_file, '{"dim": 0, "ref_index": 0, "populations": [], "interference": []}',
          "qudit dimension must be at least 2"),
+        (_sweep_config, f'{{"noise": {{"photons_per_frame": {10**400}}}}}',
+         "photons_per_frame must be finite and non-negative, got 1000"),
+        (_outcomes_file, f'{{"dim": 2, "ref_index": 0, "populations": [{10**400}, 0], '
+                         '"interference": [[0.5, 0.5, 0.5]]}', "expected a number, got 1000"),
     ],
     ids=["state-list", "state-re-object", "state-no-dim", "state-dim-float", "outcomes-list",
          "outcomes-dim-list", "outcomes-empty", "outcomes-bad-reference",
@@ -610,7 +614,8 @@ def _bloch_summary(where, text):
          "optical-slits-list", "optical-image-dims-float", "config-truncated", "sidecar-list",
          "sidecar-roi-number", "sidecar-no-roi", "sidecar-step-float", "sidecar-step-7",
          "sidecar-image-dims-wrong", "summary-list", "state-dim-true", "outcomes-reference-true",
-         "config-trials-true", "optical-reference-false", "sidecar-step-true", "outcomes-dim-0"],
+         "config-trials-true", "optical-reference-false", "sidecar-step-true", "outcomes-dim-0",
+         "noise-photons-huge-int", "outcomes-population-huge-int"],
 )
 def test_json_input_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, write, text, names):
     """Every JSON file the CLI reads: a value of the wrong shape or a missing

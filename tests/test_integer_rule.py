@@ -2,7 +2,9 @@
 
 Each argument is refused as a non-integer float (2.5), an integral float
 (3.0), a bool (True) and an integer outside its range, with its own error
-type and a message that names the value.
+type and a message that names the value.  The seeds of the public samplers
+follow the rule too, beside the SeedSequence (and Generator) they take, and
+refuse None.
 """
 
 from dataclasses import replace
@@ -15,17 +17,22 @@ from psitomo import (
     DensityMatrix,
     ExperimentSpec,
     Interferogram,
+    NoiseModel,
     OpticalConfig,
     ProjectorOutcomes,
     ProjectorSpec,
     StateSource,
     bloch_grid,
     certify_purity,
+    exact_outcomes,
     haar_random,
     interference_probs,
     measurement_plan,
     projector_state,
+    render_blocked_frame,
+    render_frames,
     run_trial,
+    sample_counts,
 )
 from psitomo.errors import BadIndex
 
@@ -33,6 +40,19 @@ _CFG3 = OpticalConfig.for_dim(3)
 _PSI2 = haar_random(2, seed=1)
 _SPEC2 = ExperimentSpec(dim=2, source=StateSource.haar(1), root_seed=0)
 _DIM = "qudit dimension must be at least 2, got {!r}"
+_SEED = "seed must be a non-negative integer or a SeedSequence, got {!r}"
+_NOISY = NoiseModel(1e4, 0.1, 0.12, 0.5)
+_CFG2 = OpticalConfig.for_dim(2)
+
+# (name, draw on a seed, takes a Generator): the public samplers
+_SAMPLERS = [
+    ("haar_random", lambda seed: haar_random(3, seed).amps, True),
+    ("sample_counts",
+     lambda seed: sample_counts(exact_outcomes(_PSI2), _NOISY, seed).interference, True),
+    ("render_frames", lambda seed: render_frames(_PSI2, _CFG2, _NOISY, seed)[1].pixels, False),
+    ("render_blocked_frame",
+     lambda seed: render_blocked_frame(_PSI2, _CFG2, _NOISY, seed, roi_band=True).pixels, False),
+]
 
 # (id, build from the value, error type, message template, an integer out of range)
 _ARGUMENTS = [
@@ -77,7 +97,7 @@ _ARGUMENTS = [
      "seed must be a non-negative integer, got {!r}", -1),
     ("run_trial.index", lambda v: run_trial(_PSI2, _SPEC2, 1, v), ValueError,
      "index must be a non-negative integer, got {!r}", -1),
-]
+] + [(f"{name}.seed", draw, ValueError, _SEED, -1) for name, draw, _ in _SAMPLERS]
 
 
 @pytest.mark.parametrize(
@@ -101,3 +121,22 @@ def test_integer_rule_reads_a_zero_d_integer_array_as_its_value():
         ProjectorSpec(np.array(1))
     with pytest.raises(BadIndex, match=r"^reference index 3 outside 0\.\.2$"):
         ProjectorSpec(3, np.array(3))
+
+
+
+@pytest.mark.parametrize("seed", [False, np.True_, None], ids=["false", "numpy-true", "none"])
+@pytest.mark.parametrize("draw", [d for _, d, _ in _SAMPLERS], ids=[n for n, _, _ in _SAMPLERS])
+def test_sampler_seeds_refuse_a_bool_or_none(draw, seed):
+    with pytest.raises(ValueError) as info:
+        draw(seed)
+    assert str(info.value) == _SEED.format(seed)
+
+
+@pytest.mark.parametrize("draw, generator", [(d, g) for _, d, g in _SAMPLERS],
+                         ids=[n for n, _, _ in _SAMPLERS])
+def test_sampler_seeds_keep_their_draws(draw, generator):
+    seeds = [np.int64(5), np.uint32(5), np.random.SeedSequence(5)]
+    if generator:
+        seeds.append(np.random.default_rng(5))
+    for seed in seeds:
+        np.testing.assert_array_equal(draw(seed), draw(5))

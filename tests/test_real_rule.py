@@ -91,11 +91,16 @@ class _Noise:
         self.photons_per_frame = photons
 
 
+_HUGE = 10**400  # an int that float() cannot convert
+_SHOWN = {_HUGE: "10**400", -_HUGE: "-10**400"}  # short test ids for the huge ints
+
+
 @pytest.mark.parametrize(
     "what, build, positive, value",
-    [pytest.param(what, build, positive, value, id=f"{name}-{value!r}")
+    [pytest.param(what, build, positive, value, id=f"{name}-{_SHOWN.get(value, repr(value))}")
      for name, what, build, positive in _OWNERS
-     for value in ("1e3", True, math.nan, math.inf, -1) + ((0,) if positive else ())],
+     for value in ("1e3", True, math.nan, math.inf, -1, _HUGE, -_HUGE)
+     + ((0,) if positive else ())],
 )
 def test_real_rule_refuses_and_names_the_argument_and_value(what, build, positive, value):
     sign = "positive" if positive else "non-negative"
