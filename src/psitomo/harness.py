@@ -12,7 +12,6 @@ reference inside that render.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -296,8 +295,9 @@ def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
     """Run every state of the source through the pipeline and aggregate.
 
     Trials run in one thread, OUTCOME_CHUNK at a time, ordered by trial
-    index.  ``workers`` is accepted for compatibility and changes nothing.
+    index.  ``workers`` (at least 1) is accepted for compatibility and changes nothing.
     """
+    _check_int(workers, "workers must be a positive integer", 1)
     states = generate_states(spec)
     trials = []
     for c, start in enumerate(range(0, len(states), OUTCOME_CHUNK)):
@@ -381,7 +381,7 @@ def calibrate_noise(
     if not (_is_real(target_mean_fidelity) and 0.0 < target_mean_fidelity < 1.0):
         raise ValueError("target mean fidelity must lie strictly inside (0, 1)")
     tol = _check_real(tol, "tol", positive=True)
-    lo, hi = bracket[0], bracket[1]
+    lo, hi = bracket if np.asarray(bracket, dtype=object).shape == (2,) else (math.nan,) * 2
     if not (_is_real(lo) and _is_real(hi) and 0.0 < lo < hi < math.inf):  # NaN fails too
         raise ValueError(f"bracket must satisfy 0 < low < high < inf, got {bracket!r}")
 
@@ -392,30 +392,27 @@ def calibrate_noise(
         probe_source = StateSource(template.source.kind, trials)
     base = replace(template, source=probe_source, root_seed=probe_root)
     target = target_mean_fidelity
+    fids = {}  # mean fidelity by probed budget, in probe order
+
+    def probe(photons):
+        """Run the batch at ``photons``; its result if the mean fidelity lies within tol."""
+        noise = template.noise.with_photons(photons)
+        fid = fids[photons] = run_batch(replace(base, noise=noise)).mean_fidelity
+        if abs(fid - target) <= tol:
+            return CalibrationResult(noise, noise.photons_per_frame, fid, len(fids))
+
+    if found := probe(lo) or probe(hi):
+        return found
+    if fids[lo] > target or fids[hi] < target:
+        raise Unattainable(f"target {target} outside achievable range "
+                           f"[{fids[lo]:.6f}, {fids[hi]:.6f}] for photons in [{lo:g}, {hi:g}]")
     log_lo, log_hi = math.log10(lo), math.log10(hi)
-    f_lo = math.nan
-    probed = set()
-    # Probe both ends of the bracket first, then bisect in log10(photons).
-    for evals in itertools.count(1):
-        mid = 0.5 * (log_lo + log_hi)
-        photons = (lo, hi)[evals - 1] if evals <= 2 else 10.0 ** mid
-        if evals > 2 and (not log_lo < mid < log_hi or photons in probed):
+    while True:
+        photons = 10.0 ** (mid := 0.5 * (log_lo + log_hi))
+        if not log_lo < mid < log_hi or photons in fids:
             raise Unattainable(f"bracket log10(photons) in [{log_lo!r}, {log_hi!r}] collapsed at "
                                f"{photons!r} photons without reaching {target} +/- {tol}")
-        probed.add(photons)
-        noise = template.noise.with_photons(photons)
-        fid = run_batch(replace(base, noise=noise)).mean_fidelity
-        if abs(fid - target) <= tol:
-            return CalibrationResult(noise, noise.photons_per_frame, fid, evals)
-        if evals == 1:
-            f_lo = fid
-        elif evals == 2:
-            if f_lo > target or fid < target:
-                raise Unattainable(
-                    f"target {target} outside achievable range "
-                    f"[{f_lo:.6f}, {fid:.6f}] for photons in [{lo:g}, {hi:g}]"
-                )
-        elif fid < target:
-            log_lo = math.log10(photons)
-        else:
-            log_hi = math.log10(photons)
+        if found := probe(photons):
+            return found
+        log_lo, log_hi = ((math.log10(photons), log_hi) if fids[photons] < target
+                          else (log_lo, math.log10(photons)))

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigMismatch
 from .projectors import _counts, _step_phases
-from .states import (PureState, _check_finite, _check_int, _check_real, _check_seed, _frozen,
-                     _json_int)
+from .states import (PureState, _as_array, _check_finite, _check_int, _check_real, _check_seed,
+                     _frozen, _json_int)
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
 DISPLAY_SLIT_PITCH = 30
@@ -218,7 +218,7 @@ class Interferogram:
 
     def __post_init__(self) -> None:
         _check_int(self.step_index, "step index", 0, CALIBRATION_STEP + 1)
-        arr = _frozen(np.asarray(self.pixels, dtype=float).view())  # the caller's stays writeable
+        arr = _frozen(_as_array(self.pixels, "pixel values").view())  # the caller's stays writeable
         if arr.shape != self.config.image_dims:
             raise ValueError("pixel array does not match the configured image size")
         _check_finite(arr, "pixel values")
@@ -339,7 +339,7 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
         # children (spawn() would otherwise advance the parent's state).
         seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
     else:
-        _check_seed(seed)
+        _check_seed(seed, generator=False)
         seed = np.random.SeedSequence(seed)
     field_seq, jitter_seq, shot_seq, background_seq = seed.spawn(4)
 

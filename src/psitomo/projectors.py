@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, BadIndex, DimensionMismatch
-from .states import (DensityMatrix, PureState, _check_finite, _check_int, _check_real,
-                     _check_seed, _frozen, _json_floats, _json_int)
+from .states import (DensityMatrix, PureState, _as_array, _check_finite, _check_int,
+                     _check_real, _check_seed, _frozen, _json_floats, _json_int)
 
 #: Reference phase offsets pi/4, 3pi/4, 5pi/4 of the three interference steps.
 STEP_PHASES: tuple[float, float, float] = tuple(
@@ -66,7 +66,7 @@ class ProjectorOutcomes:
 
     def __post_init__(self) -> None:
         # Read-only views of the caller's arrays, not copies: theirs stay writeable.
-        vars(self).update({name: _frozen(np.asarray(getattr(self, name), dtype=float).view())
+        vars(self).update({name: _frozen(_as_array(getattr(self, name), "outcome values").view())
                            for name in ("populations", "interference")})
         _check_rows(self.dim, self.ref_index, self.populations, self.interference, self.kind)
 

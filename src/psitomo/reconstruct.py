@@ -29,8 +29,8 @@ from .errors import (AllZero, BadIndex, DegenerateFringe, NonpositiveReference, 
                      ZeroResultant)
 from .imaging import CALIBRATION_STEP, Interferogram, _geometry
 from .projectors import ProjectorOutcomes, measurement_plan
-from .states import (PHASE_PIVOT, PureState, _canonical_phase, _check_finite, _check_int,
-                     _check_real, _frozen, _is_real, _norm, normalize)
+from .states import (PHASE_PIVOT, PureState, _as_array, _canonical_phase, _check_finite,
+                     _check_int, _check_real, _frozen, _is_real, _norm, normalize)
 
 #: A slit is too weak to verify (or to anchor) below this fraction of the
 #: strongest population.
@@ -103,14 +103,14 @@ def circular_mean(phases, weights=None) -> float:
     Raises ZeroResultant when the normalized resultant is shorter than 1e-12,
     e.g. for two opposite unit directions.
     """
-    ph = np.asarray(phases, dtype=float).ravel()
+    ph = _as_array(phases, "phases").ravel()
     if ph.size == 0:
         raise ValueError("need at least one phase")
     _check_finite(ph, "phases")
     if weights is None:
         w = np.ones_like(ph)
     else:
-        w = np.asarray(weights, dtype=float).ravel()
+        w = _as_array(weights, "weights").ravel()
         if w.shape != ph.shape:
             raise ValueError("weights must match phases in length")
         _check_finite(w, "weights", nonneg=True)
@@ -125,7 +125,7 @@ def circular_mean(phases, weights=None) -> float:
 
 def choose_reference(populations) -> int:
     """Index of the strongest population; ties go to the lowest index."""
-    pops = np.asarray(populations, dtype=float)
+    pops = _as_array(populations, "populations")
     if pops.ndim != 1:
         raise ValueError("populations must be 1-D")
     if pops.size == 0:
@@ -177,15 +177,15 @@ def certify_purity(
     population) or a per-slit array (imaging mode: the local reference-band
     intensity).
     """
-    p = np.asarray(populations, dtype=float)
-    g = np.asarray(visibilities, dtype=float)
+    what = "populations, visibilities and reference levels"
+    p, g = _as_array(populations, what), _as_array(visibilities, what)
     if p.shape != g.shape:
         raise ValueError("populations and visibilities must have the same length")
     if p.ndim != 1:
         raise ValueError("populations and visibilities must be 1-D")
     _check_int(ref_index, "reference index", 0, p.size, BadIndex)
-    r = np.broadcast_to(np.asarray(ref_population, dtype=float), p.shape)
-    _check_finite((p, g, r), "populations, visibilities and reference levels")
+    r = np.broadcast_to(_as_array(ref_population, what), p.shape)
+    _check_finite((p, g, r), what)
     return _purity_check(p, g, r, ref_index, tau)
 
 

@@ -1,7 +1,8 @@
 """The one array rule (``states._check_finite``) over every array it owns.
 
-Each array is refused with NaN and with inf, and, where it counts photons or
-weights, with -1; the error is a ValueError whose whole message names the
+Each array is refused with NaN and with inf, where it counts photons or
+weights with -1, and where numpy converts a Python value with an int too
+large for a float; the error is a ValueError whose whole message names the
 array.  This file also covers the real rule's type test on the fringe
 helpers' intensities, on the calibration and mixing arguments and on JSON
 number arrays, and optical geometry built from lists.
@@ -52,6 +53,13 @@ def _pixels(bad):
     return Interferogram(1, pixels, config)
 
 
+def _pixel_rows(bad):
+    config = OpticalConfig.for_dim(2)
+    rows = np.ones(config.image_dims).tolist()
+    rows[3][4] = bad
+    return Interferogram(1, rows, config)
+
+
 def _outcomes(field, bad):
     arrays = {"populations": _POPULATIONS.copy(), "interference": _TABLE.copy()}
     arrays[field].flat[1] = bad
@@ -80,6 +88,10 @@ _OWNERS = {
     "interferogram": (_pixels, "pixel values", False),
     "outcome-populations": (lambda bad: _outcomes("populations", bad), "outcome values", True),
     "outcome-interference": (lambda bad: _outcomes("interference", bad), "outcome values", True),
+    "outcome-population-list": (lambda bad: ProjectorOutcomes(3, 0, [50.0, bad, 20.0], _TABLE,
+                                                              kind="count"),
+                                "outcome values", True),
+    "interferogram-rows": (_pixel_rows, "pixel values", False),
     "chunk-populations": (lambda bad: _chunk_rows("populations", bad), "outcome values", True),
     "chunk-interference": (lambda bad: _chunk_rows("interference", bad), "outcome values", True),
     "circular-mean-phases": (lambda bad: circular_mean([0.1, bad]), "phases", False),
@@ -96,13 +108,21 @@ _OWNERS = {
                           "populations, visibilities and reference levels", False),
 }
 
+# The builders that hand the owner Python values, so that an int too large for a float meets
+# the owner's own conversion. An array builder could not store one, and the fringe helpers
+# refuse one by the real rule's type test.
+_PYTHON_VALUES = {"density-matrix", "outcome-population-list", "interferogram-rows",
+                  "circular-mean-phases", "circular-mean-weights", "choose-reference",
+                  "certify-reference"}
+
 _CASES = [
     pytest.param(build, bad, f"{what} {verdict}", id=f"{name}-{label}")
     for name, (build, what, nonneg) in _OWNERS.items()
     for label, bad, verdict in (("nan", math.nan, "must be finite"),
                                 ("inf", math.inf, "must be finite"),
-                                ("minus-one", -1.0, "cannot be negative"))
-    if nonneg or label != "minus-one"
+                                ("minus-one", -1.0, "cannot be negative"),
+                                ("huge-int", 10**400, "must be finite"))
+    if (nonneg or label != "minus-one") and (label != "huge-int" or name in _PYTHON_VALUES)
 ]
 
 
@@ -170,12 +190,19 @@ def no_probes(monkeypatch):
 @pytest.mark.parametrize(
     "bracket",
     [("1e2", "1e10"), (True, 1e10), (1e2, "1e10"), (1e2, 1j), (None, 1e10), (1, 10**400),
-     (-10**400, 1e10)],
+     (-10**400, 1e10), (1e2,), (1e2, 1e4, 1e6)],
     ids=["strings", "true-low", "string-high", "complex-high", "none-low", "huge-int-high",
-         "minus-huge-int-low"],
+         "minus-huge-int-low", "one-end", "three-ends"],
 )
 def test_calibrate_noise_refuses_a_bracket_of_non_reals(no_probes, bracket):
     with pytest.raises(ValueError, match=r"bracket must satisfy 0 < low < high < inf, got \("):
+        calibrate_noise(0.95, 2, _calibration_spec(), trials=8, tol=0.01, bracket=bracket)
+
+
+@pytest.mark.parametrize("bracket", [5, None])
+def test_calibrate_noise_refuses_a_bracket_that_is_not_a_sequence(no_probes, bracket):
+    message = rf"^bracket must satisfy 0 < low < high < inf, got {bracket}$"
+    with pytest.raises(ValueError, match=message):
         calibrate_noise(0.95, 2, _calibration_spec(), trials=8, tol=0.01, bracket=bracket)
 
 

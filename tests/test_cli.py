@@ -327,7 +327,8 @@ def test_figure_refuses_non_physical_fidelities(tmp_path, capsys, mode, value):
     assert not (out / "figure.svg").exists()
 
 
-@pytest.mark.parametrize("flags", [["--dim", "1"], ["--photons", "-5"]], ids=["dim", "photons"])
+@pytest.mark.parametrize("flags", [["--dim", "1"], ["--photons", "-5"], ["--workers", "0"]],
+                         ids=["dim", "photons", "workers"])
 def test_sweep_flag_errors_do_not_name_the_config(tmp_path, capsys, flags):
     """A valid --config file with a bad flag: the error is the flag's, so it
     does not carry the file's path."""

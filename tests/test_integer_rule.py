@@ -4,7 +4,7 @@ Each argument is refused as a non-integer float (2.5), an integral float
 (3.0), a bool (True) and an integer outside its range, with its own error
 type and a message that names the value.  The seeds of the public samplers
 follow the rule too, beside the SeedSequence (and Generator) they take, and
-refuse None.
+refuse None; a render refuses a Generator.
 """
 
 from dataclasses import replace
@@ -31,6 +31,7 @@ from psitomo import (
     projector_state,
     render_blocked_frame,
     render_frames,
+    run_batch,
     run_trial,
     sample_counts,
 )
@@ -97,6 +98,8 @@ _ARGUMENTS = [
      "seed must be a non-negative integer, got {!r}", -1),
     ("run_trial.index", lambda v: run_trial(_PSI2, _SPEC2, 1, v), ValueError,
      "index must be a non-negative integer, got {!r}", -1),
+    ("run_batch.workers", lambda v: run_batch(_SPEC2, v), ValueError,
+     "workers must be a positive integer, got {!r}", 0),
 ] + [(f"{name}.seed", draw, ValueError, _SEED, -1) for name, draw, _ in _SAMPLERS]
 
 
@@ -127,6 +130,15 @@ def test_integer_rule_reads_a_zero_d_integer_array_as_its_value():
 @pytest.mark.parametrize("seed", [False, np.True_, None], ids=["false", "numpy-true", "none"])
 @pytest.mark.parametrize("draw", [d for _, d, _ in _SAMPLERS], ids=[n for n, _, _ in _SAMPLERS])
 def test_sampler_seeds_refuse_a_bool_or_none(draw, seed):
+    with pytest.raises(ValueError) as info:
+        draw(seed)
+    assert str(info.value) == _SEED.format(seed)
+
+
+@pytest.mark.parametrize("draw", [d for _, d, g in _SAMPLERS if not g],
+                         ids=[n for n, _, g in _SAMPLERS if not g])
+def test_render_seeds_refuse_a_generator(draw):
+    seed = np.random.default_rng(5)
     with pytest.raises(ValueError) as info:
         draw(seed)
     assert str(info.value) == _SEED.format(seed)
