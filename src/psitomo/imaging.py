@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigMismatch
 from .projectors import _counts, _step_phases
-from .states import (PureState, _as_array, _check_finite, _check_int, _check_real, _check_seed,
+from .states import (_SEED, PureState, _as_array, _check_finite, _check_int, _check_real,
                      _frozen, _json_int)
 
 DISPLAY_SLIT_WIDTH = 10  # display pixels, imaged 1:1 onto the camera
@@ -339,7 +339,7 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
         # children (spawn() would otherwise advance the parent's state).
         seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
     else:
-        _check_seed(seed, generator=False)
+        _check_int(seed, _SEED)
         seed = np.random.SeedSequence(seed)
     field_seq, jitter_seq, shot_seq, background_seq = seed.spawn(4)
 

@@ -94,7 +94,7 @@ class DensityMatrix:
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix) -> None:
-        mat = _as_array(matrix, "density matrix entries", np.complex128, copy=True)
+        mat = _as_array(matrix, "density matrix entries", np.complex128).copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         if mat.shape[0] < 2:
@@ -177,12 +177,15 @@ def _is_real(value) -> bool:
             and not (isinstance(value, int) and abs(value) >= _INT_OVERFLOW))
 
 
-def _check_seed(seed, generator: bool = True) -> None:
-    """The sampler seed rule: a SeedSequence, or with ``generator`` a Generator, as it is;
-    anything else by the integer rule, so a bool or None (fresh OS entropy) is refused."""
-    if not (isinstance(seed, np.random.SeedSequence)
-            or generator and isinstance(seed, np.random.Generator)):
-        _check_int(seed, "seed must be a non-negative integer or a SeedSequence")
+#: The seed rule's message; a render, which takes no Generator, checks its own int by it.
+_SEED = "seed must be a non-negative integer or a SeedSequence"
+
+
+def _check_seed(seed) -> None:
+    """The sampler seed rule: a SeedSequence or Generator as it is, anything else by the
+    integer rule, so a bool or None (fresh OS entropy) is refused."""
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        _check_int(seed, _SEED)
 
 
 def _check_finite(values, what: str, nonneg: bool = False) -> None:
@@ -193,11 +196,11 @@ def _check_finite(values, what: str, nonneg: bool = False) -> None:
         raise ValueError(f"{what} cannot be negative")
 
 
-def _as_array(values, what: str, dtype=float, copy=None) -> np.ndarray:
-    """``values`` as np.array converts them, with ``copy`` None a view where it can; an int
-    too large for a float breaks the array rule, not numpy's conversion."""
+def _as_array(values, what: str, dtype=float) -> np.ndarray:
+    """``values`` as np.asarray converts them; an int too large for a float breaks the
+    array rule, not numpy's conversion."""
     try:
-        return np.array(values, dtype=dtype, copy=copy)
+        return np.asarray(values, dtype=dtype)
     except OverflowError:
         raise ValueError(f"{what} must be finite") from None
 
