@@ -324,8 +324,9 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
     The beams overlap only inside the ROIs, so a full frame is its band frame
     over a closed-form background: |obj|^2 down the slit columns unless the
     object is blocked, plus ref^2 across the band rows unless the reference
-    is.  The band draws from the first three children of ``seed`` and the
-    background's shot noise from the fourth, at the full image's photon scale.
+    is.  The band draws from the first three children of ``seed``, its steps'
+    shot noise in one draw, and the background's from the fourth, one frame
+    at a time, at the full image's photon scale.
 
     ``pick`` renders an adaptive acquisition in one pass: it maps the per-slit
     means of a frame 0 drawn at ``config``'s photon scale to the config that
@@ -334,14 +335,12 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
     """
     amps = _object_amplitudes(psi, config.n_slits)
     geo = _geometry(config)
-    if isinstance(seed, np.random.SeedSequence):
-        # Re-root so repeated renders with the same sequence draw the same
-        # children (spawn() would otherwise advance the parent's state).
-        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
-    else:
+    if not isinstance(seed, np.random.SeedSequence):
         _check_int(seed, _SEED)
         seed = np.random.SeedSequence(seed)
-    field_seq, jitter_seq, shot_seq, background_seq = seed.spawn(4)
+    # spawn(4)'s children, built without advancing the caller's sequence.
+    field_seq, jitter_seq, shot_seq, background_seq = (
+        np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,)) for i in range(4))
 
     # The object fills every band row; neither it nor the band geometry
     # depends on the reference slit.
@@ -354,36 +353,26 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
     level = np.abs(obj) ** 2  # frame 0: the reference is blocked
     phases = _step_phases(np.random.default_rng(jitter_seq), noise.phase_step_jitter_sd)
 
-    def shots(cfg, seq):
-        """Shot-noise draws on a fresh stream of ``seq`` at ``cfg``'s photon scale."""
-        scale, rng = noise.photons_per_frame / _dc_total(amps, cfg), np.random.default_rng(seq)
-        return lambda intensity: _counts(rng, intensity, scale, noise.dark_rate)
-
+    scale = noise.photons_per_frame / _dc_total(amps, config)
     if pick is not None:
-        config = pick(geo.per_slit_mean(shots(config, shot_seq)(level)))
-        geo = _geometry(config)
-    draw = shots(config, shot_seq)
+        config = pick(geo.per_slit_mean(_counts(shot_seq, level, scale, noise.dark_rate)))
+        geo, scale = _geometry(config), noise.photons_per_frame / _dc_total(amps, config)
     ref = np.broadcast_to(geo.profile[geo.cols], shape)
 
-    frames = []
-    for step in steps:
-        if step == 0:
-            intensity = level
-        elif step == CALIBRATION_STEP:
-            intensity = ref**2
-        else:
-            # The stepped reference is delayed, not advanced: a positive
-            # piezo step lengthens its path, multiplying the reference field
-            # by e^{-i theta} at step phase theta.  This sign makes the
-            # recovered fringe phase equal arg(c_k) rather than its negative.
-            intensity = np.abs(obj + ref * np.exp(-1j * phases[step - 1])) ** 2
-        frames.append(Interferogram(step, draw(intensity), geo.band))
+    # The stepped reference is delayed: a positive piezo step multiplies its
+    # field by e^{-i theta} at step phase theta, which makes the recovered
+    # fringe phase equal arg(c_k) rather than its negative.
+    expected = np.stack([level if step == 0 else ref**2 if step == CALIBRATION_STEP
+                         else np.abs(obj + ref * np.exp(-1j * phases[step - 1])) ** 2
+                         for step in steps])
+    counts = _counts(shot_seq, expected, scale, noise.dark_rate)
+    frames = [Interferogram(step, pixels, geo.band) for step, pixels in zip(steps, counts)]
     if roi_band:
         return frames
 
     obj_power = np.zeros(config.image_dims[1])
     obj_power[geo.cols] = np.abs(band_obj) ** 2
-    background = shots(config, background_seq)
+    rng = np.random.default_rng(background_seq) if scale > 0.0 else None  # noiseless: no draws
     full = []
     for frame in frames:
         image = np.zeros(config.image_dims)
@@ -393,7 +382,7 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
             image[geo.rows] += geo.profile**2
         # A zero expectation draws no random number: draw the lit pixels only.
         flat, lit = image.ravel(), np.flatnonzero(image + noise.dark_rate)
-        flat[lit] = background(flat[lit])
+        flat[lit] = _counts(rng, flat[lit], scale, noise.dark_rate)
         image[geo.rows, geo.cols] = frame.pixels
         full.append(Interferogram(frame.step_index, image, config))
     return full

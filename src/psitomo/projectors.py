@@ -181,6 +181,10 @@ def interference_probs(psi: PureState, ref_index: int, phases) -> np.ndarray:
     ``ref_index``.
     """
     _check_int(ref_index, "reference index", 0, psi.dim, BadIndex)
+    phases = _as_array(phases, "step phases")
+    _check_finite(phases, "step phases")
+    if phases.shape != (3,):
+        raise ValueError(f"need three step phases, got shape {phases.shape}")
     amps = psi.amps
     return _two_beam_table(np.abs(amps) ** 2, amps[ref_index] * np.conj(amps), ref_index, phases)
 
@@ -233,12 +237,13 @@ def sample_counts(outcomes: ProjectorOutcomes, noise, seed) -> ProjectorOutcomes
     return ProjectorOutcomes(outcomes.dim, outcomes.ref_index, pops, table, kind="count")
 
 
-def _counts(rng, expected, scale, dark=0.0):
+def _counts(stream, expected, scale, dark=0.0):
     """The one shot-noise draw: Poisson counts of mean ``scale * expected + dark``, as
-    floats; with no photons (``scale <= 0``) ``expected`` itself, and nothing is drawn."""
+    floats, from ``stream``, a Generator or a SeedSequence to start a fresh one from; with
+    no photons (``scale <= 0``) ``expected`` itself, and nothing is drawn or started."""
     if scale <= 0.0:
         return expected
-    return rng.poisson(scale * expected + dark).astype(float)
+    return np.random.default_rng(stream).poisson(scale * expected + dark).astype(float)
 
 
 def _step_phases(rng, sd, rows=()):

@@ -36,7 +36,7 @@ class PureState:
     __slots__ = ("_amps",)
 
     def __init__(self, amps, *, _owned: bool = False) -> None:
-        arr = amps if _owned else np.array(amps, dtype=np.complex128)
+        arr = amps if _owned else _as_array(amps, "amplitudes", np.complex128).copy()
         if arr.ndim != 1:
             raise ValueError("amplitudes must form a 1-D vector")
         if arr.size < 2:
@@ -231,7 +231,7 @@ def normalize(amps) -> PureState:
 
     Raises ZeroVector when every amplitude is below 1e-15 in modulus.
     """
-    arr = np.asarray(amps, dtype=np.complex128)
+    arr = _as_array(amps, "amplitudes", np.complex128)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D amplitude vector of length >= 2")
     norm = _norm(arr)

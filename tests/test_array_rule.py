@@ -30,6 +30,8 @@ from psitomo import (
     circular_mean,
     depolarized,
     haar_random,
+    interference_probs,
+    normalize,
     psi_phase,
     psi_visibility,
     render_frames,
@@ -106,6 +108,9 @@ _OWNERS = {
                              "populations, visibilities and reference levels", False),
     "certify-reference": (lambda bad: _purity(2, bad),
                           "populations, visibilities and reference levels", False),
+    "interference-phases": (lambda bad: interference_probs(haar_random(3, seed=1), 0,
+                                                           [0.1, bad, 2.0]),
+                            "step phases", False),
 }
 
 # The builders that hand the owner Python values, so that an int too large for a float meets
@@ -113,7 +118,7 @@ _OWNERS = {
 # refuse one by the real rule's type test.
 _PYTHON_VALUES = {"density-matrix", "outcome-population-list", "interferogram-rows",
                   "circular-mean-phases", "circular-mean-weights", "choose-reference",
-                  "certify-reference"}
+                  "certify-reference", "interference-phases"}
 
 _CASES = [
     pytest.param(build, bad, f"{what} {verdict}", id=f"{name}-{label}")
@@ -136,6 +141,21 @@ def test_every_array_check_names_its_array(build, bad, message):
 @pytest.mark.parametrize("build", [b for b, _, _ in _OWNERS.values()], ids=list(_OWNERS))
 def test_every_array_check_passes_its_finite_input(build):
     build(0.25)
+
+
+@pytest.mark.parametrize("phases", [[0.1, 2.0], [[0.1, 1.0, 2.0]], 0.5],
+                         ids=["two", "one-row", "scalar"])
+def test_interference_probs_needs_three_step_phases(phases):
+    with pytest.raises(ValueError, match=r"^need three step phases, got shape \("):
+        interference_probs(haar_random(3, seed=1), 0, phases)
+
+
+@pytest.mark.parametrize("build", [PureState, normalize], ids=["pure-state", "normalize"])
+@pytest.mark.parametrize("huge", [10**400, -10**400], ids=["huge-int", "minus-huge-int"])
+def test_amplitudes_refuse_an_int_too_large_for_a_float(build, huge):
+    with pytest.raises(ValueError, match="^amplitudes must be finite$") as info:
+        build([huge, 0])
+    assert type(info.value) is ValueError
 
 
 def test_outcome_rows_check_populations_before_the_table():
