@@ -375,14 +375,21 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
     rng = np.random.default_rng(background_seq) if scale > 0.0 else None  # noiseless: no draws
     full = []
     for frame in frames:
-        image = np.zeros(config.image_dims)
-        if frame.step_index != CALIBRATION_STEP:
-            image += obj_power
-        if frame.step_index != 0:
-            image[geo.rows] += geo.profile**2
-        # A zero expectation draws no random number: draw the lit pixels only.
-        flat, lit = image.ravel(), np.flatnonzero(image + noise.dark_rate)
-        flat[lit] = _counts(rng, flat[lit], scale, noise.dark_rate)
+        # Two row patterns make the background: one outside the band rows, one across them.
+        outside = obj_power if frame.step_index != CALIBRATION_STEP else np.zeros_like(obj_power)
+        across = outside if frame.step_index == 0 else outside + geo.profile**2
+        image, start = np.zeros(config.image_dims), 0
+        blocks = np.split(image, [geo.rows.start, geo.rows.stop])  # rows above, across, below
+        patterns = (outside, across, outside)
+        # A zero expectation draws no random number: draw the lit pixels only, in the
+        # row-major order of one draw over the whole image.
+        lit = [np.flatnonzero(pattern + noise.dark_rate) for pattern in patterns]
+        expected = [np.broadcast_to(pattern[cols], (block.shape[0], cols.size))
+                    for block, pattern, cols in zip(blocks, patterns, lit)]
+        counts = _counts(rng, np.concatenate(expected, axis=None), scale, noise.dark_rate)
+        for block, cols, mean in zip(blocks, lit, expected):
+            block[:, cols] = counts[start:start + mean.size].reshape(mean.shape)
+            start += mean.size
         image[geo.rows, geo.cols] = frame.pixels
         full.append(Interferogram(frame.step_index, image, config))
     return full

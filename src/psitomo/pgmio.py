@@ -34,9 +34,9 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     if not (arr.min() >= 0 and arr.max() <= PGM_MAXVAL):  # NaN fails too
         raise ValueError(f"pixel values must lie in 0..{PGM_MAXVAL}")
     height, width = arr.shape
-    header = f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii")
-    body = arr.astype(">u2").tobytes()
-    Path(path).write_bytes(header + body)
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii"))
+        fh.write(arr.astype(">u2"))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -94,10 +94,12 @@ def save_frames(directory, frames: list[Interferogram], seed: int) -> list[Path]
         raise ValueError(f"pixel values must lie in 0..{PGM_MAXVAL}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
+    paths, scaled = [], np.empty(0)
     for f in frames:
+        if scaled.shape != f.pixels.shape:  # one buffer for every frame of a size
+            scaled = np.empty(f.pixels.shape)
         pgm_path = directory / f"frame_{f.step_index}.pgm"
-        write_pgm(pgm_path, np.rint(f.pixels * scale))
+        write_pgm(pgm_path, np.rint(np.multiply(f.pixels, scale, out=scaled), out=scaled))
         write_json(directory / f"frame_{f.step_index}.json", {
             "step": f.step_index,
             "roi": [list(r) for r in f.config.roi_layout],

@@ -198,7 +198,12 @@ def _check_finite(values, what: str, nonneg: bool = False) -> None:
 
 def _as_array(values, what: str, dtype=float) -> np.ndarray:
     """``values`` as np.asarray converts them; an int too large for a float breaks the
-    array rule, not numpy's conversion."""
+    array rule, not numpy's conversion.  A float array takes real entries only: an ndarray
+    by its dtype, anything else entry by entry by the real rule's type test."""
+    if dtype is float and not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for v in np.asarray(values, dtype=object).flat:
+            if not _is_real(v) and type(v) is not int:  # a huge int fails as not finite
+                raise ValueError(f"{what} must be real numbers, got {v!r}")
     try:
         return np.asarray(values, dtype=dtype)
     except OverflowError:

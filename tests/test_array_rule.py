@@ -165,6 +165,55 @@ def test_outcome_rows_check_populations_before_the_table():
         ProjectorOutcomes(3, 0, np.array([50.0, -1.0, 20.0]), table, kind="count")
 
 
+# The owners that convert Python values to floats; the density matrix converts to complex.
+_FLOAT_OWNERS = sorted(_PYTHON_VALUES - {"density-matrix"})
+
+
+@pytest.mark.parametrize("bad, shown", [(True, "True"), ("1", "'1'"), (1j, "1j"), (None, "None")],
+                         ids=["true", "string", "complex", "none"])
+@pytest.mark.parametrize("name", _FLOAT_OWNERS)
+def test_float_arrays_refuse_an_entry_that_is_not_real(name, bad, shown):
+    build, what, _ = _OWNERS[name]
+    message = f"{what} must be real numbers, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        build(bad)
+    assert type(info.value) is ValueError
+
+
+_NOT_REAL_CALLS = {
+    "circular-mean-true": (lambda: circular_mean([True, 0.5]), "phases", "True"),
+    "circular-mean-complex": (lambda: circular_mean([1j, 0.5]), "phases", "1j"),
+    "choose-reference-true": (lambda: choose_reference([True, 0.2]), "populations", "True"),
+    "choose-reference-strings": (lambda: choose_reference(["1", "0.5"]), "populations", "'1'"),
+    "interference-phases-true": (lambda: interference_probs(haar_random(2, 1), 0, [True, 0, 1]),
+                                 "step phases", "True"),
+    "certify-population-true": (lambda: certify_purity([0.5, True], [1.0, 0.9], 0.5,
+                                                       ref_index=0),
+                                "populations, visibilities and reference levels", "True"),
+    "bool-array": (lambda: circular_mean(np.array([True, False])), "phases", "True"),
+    "complex-array": (lambda: choose_reference(np.array([0.5j, 0.5])), "populations",
+                      "0.5j"),
+    "string-array": (lambda: circular_mean(np.array(["0.1", "0.2"])), "phases", "'0.1'"),
+    "object-array": (lambda: choose_reference(np.array([0.5, True], dtype=object)),
+                     "populations", "True"),
+}
+
+
+@pytest.mark.parametrize("call, what, shown", _NOT_REAL_CALLS.values(), ids=list(_NOT_REAL_CALLS))
+def test_float_owners_refuse_bool_string_and_complex_values(call, what, shown):
+    message = f"{what} must be real numbers, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is ValueError
+
+
+def test_float_owners_take_ints_numpy_reals_and_integer_arrays():
+    assert choose_reference([1, np.int64(3), np.float32(2.0)]) == 1
+    assert choose_reference(np.array([1, 3, 2], dtype=np.uint8)) == 1
+    assert circular_mean(np.array([0, 0], dtype=np.int32)) == 0.0
+    assert circular_mean(np.array([0.25, 0.25], dtype=object)) == 0.25
+
+
 # ------------------------------------------------------------ the real rule's type test
 
 

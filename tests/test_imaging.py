@@ -488,6 +488,43 @@ def test_lit_pixel_background_equals_a_dense_draw_bit_for_bit(amps, noise, extra
         assert frame.pixels.tobytes() == image.tobytes(), frame.step_index
 
 
+def _band_at(row, envelope=None):
+    """Three slits whose shared band starts at ``row``; a custom ``envelope`` if given."""
+    base = OpticalConfig.for_dim(3)
+    layout = tuple((x, row, w, h) for x, _, w, h in base.roi_layout)
+    if envelope is None:
+        return replace(base, roi_layout=layout, ref_envelope=())
+    return replace(base, roi_layout=layout, ref_envelope=envelope, envelope_kind="custom")
+
+
+_EMPTY_D14 = np.where(np.arange(14) % 3 == 1, 0.0, 1.0) * np.exp(0.4j * np.arange(14))
+
+
+@pytest.mark.parametrize(
+    "amps, config",
+    [(haar_random(14, seed=14).amps, OpticalConfig.for_dim(14)),
+     (_EMPTY_D14, OpticalConfig.for_dim(14)),
+     (_EMPTY_D14, OpticalConfig.for_dim(14, extra_reference=True)),
+     ([0.6, 0.0, 0.8j], _band_at(56, (1.0, 0.0, 0.5))),
+     ([0.6, 0.0, 0.8j], _band_at(0, (1.0, 0.0, 0.0))),
+     ([0.6, 0.5, 0.0], _band_at(112)),
+     ([0.0, 1.0, 0.0], _band_at(0))],
+    ids=["d14", "d14-empty-slits", "d14-empty-slits-extra", "custom-zero-envelope",
+         "custom-zero-envelope-band-on-top", "band-at-bottom", "one-slit-band-on-top"],
+)
+@pytest.mark.parametrize(
+    "noise", [NoiseModel.bench_defaults(1e5), NoiseModel(1e4, 0.1, dark_rate=0.5)],
+    ids=["dark-0", "dark-0.5"],
+)
+def test_row_pattern_background_equals_a_dense_draw_bit_for_bit(amps, config, noise):
+    # Unlit columns of the band rows, and row blocks of no rows above or below the band.
+    psi = normalize(np.asarray(amps))
+    frames = render_frames(psi, config, noise, seed=43, include_calibration=True)
+    dense = dense_full_frames(psi, config, noise, 43)
+    for frame, image in zip(frames, dense):
+        assert frame.pixels.tobytes() == image.tobytes(), frame.step_index
+
+
 def test_pgm_round_trip(tmp_path):
     pixels = np.arange(12, dtype=float).reshape(3, 4) * 5000
     path = tmp_path / "x.pgm"
@@ -547,6 +584,22 @@ def test_save_frames_refuses_a_negative_pixel_before_writing_any_file(tmp_path):
     with pytest.raises(ValueError, match=r"pixel values must lie in 0\.\.65535"):
         save_frames(tmp_path, frames, seed=2)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_save_frames_writes_a_set_of_two_frame_shapes(tmp_path):
+    # Shapes alternate, so the scale buffer of one size is left and made again.
+    small, large = OpticalConfig.for_dim(2), OpticalConfig.for_dim(5)
+    noise = NoiseModel(photons_per_frame=1e4)
+    a = render_frames(haar_random(2, seed=1), small, noise, seed=2)
+    b = render_frames(haar_random(5, seed=3), large, noise, seed=4)
+    frames = [a[0], b[1], a[2], b[3]]
+    save_frames(tmp_path, frames, seed=5)
+    scale = 65535 / max(float(f.pixels.max()) for f in frames)
+    for f in frames:
+        written = read_pgm(tmp_path / f"frame_{f.step_index}.pgm")
+        np.testing.assert_array_equal(written, np.rint(f.pixels * scale))
+    assert [f.config.image_dims for f in load_frames(tmp_path)] == [
+        small.image_dims, large.image_dims, small.image_dims, large.image_dims]
 
 
 def test_save_and_load_frames_round_trip(tmp_path):
