@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
         marked = annotate_rois(frames[1])
         peak = float(marked.max())
         write_pgm(out / "preview.pgm", np.rint(marked * (PGM_MAXVAL / peak)))
-    print(f"wrote {4 + int(args.calibration)} frames to {out}")
+    print(f"wrote {len(frames)} frames to {out}")
     return EXIT_OK
 
 

@@ -41,6 +41,17 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
+def _text(x, y, size: int, content, anchor: str | None = None) -> str:
+    """One monospace ``<text>`` element; ``anchor`` sets its text-anchor."""
+    end = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}"{end}>{content}</text>'
+
+
+def _summary(fids: np.ndarray) -> str:
+    """The summary line both figures carry: mean, sd and count of ``fids``."""
+    return f"mean F = {float(fids.mean()):.4f}, sd = {float(fids.std()):.4f}, n = {fids.size}"
+
+
 def _fidelities(fidelities) -> np.ndarray:
     """``fidelities`` as a float array, refused unless finite numbers in [0, 1]."""
     fids = np.asarray(fidelities, dtype=float)
@@ -69,9 +80,7 @@ def bloch_figure(states: list[PureState], fidelities) -> str:
         'stroke="#888888" stroke-width="1"/>',
         f'<ellipse cx="{cx}" cy="{cy}" rx="{radius}" ry="{radius / 4:.1f}" '
         'fill="none" stroke="#cccccc" stroke-width="1"/>',
-        f'<text x="16" y="28" font-family="monospace" font-size="15">'
-        f"mean F = {float(fids.mean()):.4f}, sd = {float(fids.std()):.4f}, "
-        f"n = {fids.size}</text>",
+        _text(16, 28, 15, _summary(fids)),
     ]
     points = sorted((x, i, y, z) for i, (x, y, z) in enumerate(map(bloch_vector, states)))
     for x, i, y, z in points:  # back to front: by x, then by index
@@ -82,10 +91,7 @@ def bloch_figure(states: list[PureState], fidelities) -> str:
             f'<circle class="pt" cx="{px:.2f}" cy="{py:.2f}" r="3" '
             f'fill="{color}" fill-opacity="0.85"/>'
         )
-    body.append(
-        f'<text x="16" y="{size - 14}" font-family="monospace" font-size="13">'
-        f"color: F in [{lo:.4f}, {hi:.4f}]</text>"
-    )
+    body.append(_text(16, size - 14, 13, f"color: F in [{lo:.4f}, {hi:.4f}]"))
     return _svg_document(size, size, body)
 
 
@@ -105,9 +111,7 @@ def histogram_figure(fidelities) -> str:
     bar_w = plot_w / len(counts)
 
     body = [
-        f'<text x="{left}" y="26" font-family="monospace" font-size="15">'
-        f"mean F = {float(fids.mean()):.4f}, sd = {float(fids.std()):.4f}, "
-        f"n = {fids.size}</text>",
+        _text(left, 26, 15, _summary(fids)),
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
         f'y2="{top + plot_h}" stroke="#333333" stroke-width="1"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" '
@@ -124,16 +128,7 @@ def histogram_figure(fidelities) -> str:
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         value = edges[0] + frac * (1.0 - edges[0])
         x = left + frac * plot_w
-        body.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 18}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{value:.4f}</text>'
-        )
-    body.append(
-        f'<text x="{left - 8}" y="{top + 4}" font-family="monospace" '
-        f'font-size="11" text-anchor="end">{peak}</text>'
-    )
-    body.append(
-        f'<text x="{left - 8}" y="{top + plot_h + 4}" font-family="monospace" '
-        f'font-size="11" text-anchor="end">0</text>'
-    )
+        body.append(_text(f"{x:.2f}", top + plot_h + 18, 11, f"{value:.4f}", "middle"))
+    body += [_text(left - 8, top + 4, 11, peak, "end"),
+             _text(left - 8, top + plot_h + 4, 11, 0, "end")]
     return _svg_document(width, height, body)

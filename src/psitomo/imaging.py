@@ -163,6 +163,11 @@ class OpticalConfig:
         _check_int(dim, "qudit dimension must be at least 2", 2)
         n_slits = dim + 1 if extra_reference else dim
         width = (n_slits + 2) * DISPLAY_SLIT_PITCH  # one pitch of margin on each side
+        try:  # before a huge dim builds its ROI list
+            np.empty((DEFAULT_IMAGE_HEIGHT, width))
+        except (MemoryError, ValueError):
+            raise ValueError(f"qudit dimension {dim} is too large: its "
+                             f"{DEFAULT_IMAGE_HEIGHT}x{width} image cannot be allocated") from None
         band_y = (DEFAULT_IMAGE_HEIGHT - DEFAULT_BAND_HEIGHT) // 2
         rois = []
         for k in range(n_slits):
@@ -280,7 +285,7 @@ class _Geometry(NamedTuple):
         return self.per_slit(values) / self.area
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)  # adaptive runs: config + band config per reference, 128 at d=64
 def _geometry(config: OpticalConfig) -> _Geometry:
     layout = config.roi_layout
     widths = np.array([w for _, _, w, _ in layout])

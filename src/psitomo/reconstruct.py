@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (AllZero, BadIndex, DegenerateFringe, NonpositiveReference, WeakReference,
                      ZeroResultant)
-from .imaging import CALIBRATION_STEP, Interferogram, _geometry
+from .imaging import CALIBRATION_STEP, Interferogram, _geometry, _steps
 from .projectors import ProjectorOutcomes, measurement_plan
 from .states import (PHASE_PIVOT, PureState, _as_array, _canonical_phase, _check_finite,
                      _check_int, _check_real, _frozen, _is_real, _norm, normalize)
@@ -314,7 +314,7 @@ def _frames_by_step(frames):
         if f.step_index in by_step:
             raise ValueError(f"duplicate frame for step {f.step_index}")
         by_step[f.step_index] = f
-    if sorted(by_step) not in ([0, 1, 2, 3], [0, 1, 2, 3, CALIBRATION_STEP]):
+    if tuple(sorted(by_step)) not in (_steps(False), _steps(True)):
         raise ValueError("need the four frames with step indices 0..3, "
                          "and at most a calibration frame with step index 4")
     cfg = frames[0].config

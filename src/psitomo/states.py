@@ -266,7 +266,11 @@ def haar_random(dim: int, seed) -> PureState:
 def _haar(rng, rows: int, dim: int) -> list[PureState]:
     """The one Haar draw: ``rows`` states from one (rows, 2, dim) array of normals, real
     then imaginary parts, each row normalized."""
-    z = rng.standard_normal((rows, 2, dim))
+    try:
+        z = rng.standard_normal((rows, 2, dim))
+    except (MemoryError, ValueError):
+        raise ValueError(f"qudit dimension {dim} is too large: {rows}x2x{dim} Haar "
+                         "normals cannot be allocated") from None
     return [normalize(v) for v in z[:, 0] + 1j * z[:, 1]]
 
 

@@ -1,6 +1,7 @@
 """SVG figure generation tests."""
 
 import math
+import re
 
 import pytest
 
@@ -35,6 +36,14 @@ def test_histogram_figure_bar_count():
     svg = histogram_figure(fids)
     assert svg.count('class="bar"') == 20
     assert svg.startswith("<svg")
+
+
+def test_both_figures_carry_the_same_summary_line():
+    fids = [0.0, 0.98, 0.995, 0.999]  # a failed trial counts as F = 0
+    pattern = r"mean F = [0-9.]+, sd = [0-9.]+, n = [0-9]+"
+    lines = [re.findall(pattern, svg) for svg in (histogram_figure(fids),
+                                                   bloch_figure(bloch_grid(4), fids))]
+    assert lines == [["mean F = 0.7435, sd = 0.4293, n = 4"]] * 2
 
 
 def test_histogram_is_text_stable():

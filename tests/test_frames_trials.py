@@ -38,6 +38,7 @@ from psitomo import (
 )
 from psitomo.errors import AllZero, TomographyError
 from psitomo.harness import _frames_run, generate_states
+from psitomo.imaging import _geometry
 from psitomo.imaging import DISPLAY_PHASE_SD, _render, _steps
 
 PINNED = json.loads((Path(__file__).parent / "data" / "frames_trials_pinned.json").read_text())
@@ -188,3 +189,14 @@ def test_adaptive_frames_trial_reconstructs_the_two_pass_frames(calibration):
         got = trial(j)
         assert got.reference_used == want.reference_used
         assert np.array_equal(got.state.amps, want.state.amps)
+
+
+def test_second_adaptive_frames_batch_at_d64_reuses_every_geometry():
+    # Each reference slit the run picks holds two _geometry entries (config and band).
+    spec = ExperimentSpec(dim=64, source=StateSource("haar", 80), root_seed=3,
+                          pipeline="frames", reference_mode="adaptive",
+                          noise=NoiseModel.bench_defaults(1e7))
+    run_batch(spec)
+    misses = _geometry.cache_info().misses
+    run_batch(spec)
+    assert _geometry.cache_info().misses == misses

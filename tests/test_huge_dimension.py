@@ -1,0 +1,42 @@
+"""A dimension too large to allocate is refused as a configuration error.
+
+Each command runs in a subprocess whose address space is capped at 2 GiB, so
+a refusal that came too late would end in a MemoryError traceback there
+instead of taking the host's memory.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import psitomo
+from psitomo.cli import EXIT_CONFIG
+
+resource = pytest.importorskip("resource")
+
+CAP = 2 << 30
+HUGE = "1000000000000"
+
+
+def _capped():
+    resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--dim", HUGE, "--seed", "1"],
+    ["sweep", "--dim", HUGE, "--pipeline", "frames", "--seed", "1"],
+    ["simulate", "--dim", HUGE, "--seed", "1"],
+], ids=["sweep-outcomes", "sweep-frames", "simulate"])
+def test_huge_dimension_exits_2_under_a_memory_cap(tmp_path, argv):
+    src = str(Path(psitomo.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "psitomo.cli", *argv, "--out-dir",
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          preexec_fn=_capped, timeout=60)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith(f"error: qudit dimension {HUGE} is too large: "), done.stderr
+    assert not any(tmp_path.iterdir())
