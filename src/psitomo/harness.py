@@ -15,12 +15,12 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import TomographyError, Unattainable
-from .imaging import NoiseModel, OpticalConfig, _object_amplitudes, _render, _steps
+from .imaging import NoiseModel, OpticalConfig, _object_amplitudes, _render, _slits, _steps
 from .pgmio import write_json
 from .projectors import ProjectorOutcomes, _counts, _step_phases, _two_beam_table
 from .reconstruct import (
@@ -63,6 +63,8 @@ class StateSource:
             raise ValueError("explicit sources carry states; generated ones do not")
         if self.states is not None and self.n != len(self.states):
             raise ValueError(f"state source has n = {self.n} but carries {len(self.states)} states")
+        if self.states is not None and not all(isinstance(s, PureState) for s in self.states):
+            raise ValueError("explicit states must be PureState instances")
 
     @classmethod
     def haar(cls, n: int) -> "StateSource":
@@ -80,8 +82,8 @@ class StateSource:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything that defines one batch.  ``optics``, derived and not a field,
-    is the run's optical config: ``optical``, or else for_dim's for the mode."""
+    """Everything that defines one batch.  ``optics``, derived, not a field and built when
+    first read, is the run's optical config: ``optical``, or else for_dim's for the mode."""
 
     dim: int
     source: StateSource
@@ -105,21 +107,25 @@ class ExperimentSpec:
         if self.source.kind == "bloch_grid" and self.dim != 2:
             raise ValueError("the Bloch lattice source is defined for dim 2 only")
         object.__setattr__(self, "tau_purity", _check_real(self.tau_purity, "tau_purity"))
-        # for_dim alone sets each mode's slit count and fixed reference slit.
         adaptive = self.reference_mode == "adaptive"
-        layout = OpticalConfig.for_dim(
+        if (c := self.optical) is not None:  # _slits alone sets what a mode needs
+            have, need = [(n, "any" if adaptive else ref) for n, ref in (
+                (c.n_slits, c.ref_index), _slits(self.dim, self.reference_mode == "extra_slit"))]
+            if have != need:
+                raise ValueError(f"optical config has (slits, reference slit) {have}; a "
+                                 f"{self.reference_mode} run at dim {self.dim} needs {need}")
+            # Any slit may become an adaptive run's reference, and only a custom
+            # envelope is not recentered on it.
+            custom = c.envelope_kind == "custom"
+            if adaptive and custom and min(c.ref_envelope) <= 0:
+                raise ValueError("an adaptive run needs a custom envelope positive at every slit")
+        if self.pipeline == "frames":  # built now, so a layout too large to render fails here
+            self.optics
+
+    @cached_property
+    def optics(self) -> OpticalConfig:
+        return self.optical or OpticalConfig.for_dim(
             self.dim, extra_reference=self.reference_mode == "extra_slit")
-        object.__setattr__(self, "optics", self.optical or layout)
-        have, need = [(c.n_slits, "any" if adaptive else c.ref_index)
-                      for c in (self.optics, layout)]
-        if have != need:
-            raise ValueError(f"optical config has (slits, reference slit) {have}; a "
-                             f"{self.reference_mode} run at dim {self.dim} needs {need}")
-        # Any slit may become an adaptive run's reference, and only a custom
-        # envelope is not recentered on it.
-        custom = self.optics.envelope_kind == "custom"
-        if adaptive and custom and min(self.optics.ref_envelope) <= 0:
-            raise ValueError("an adaptive run needs a custom envelope positive at every slit")
 
 
 @dataclass(frozen=True)
@@ -212,12 +218,13 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
     """
     _, population_rng, jitter_rng, count_rng = _streams(seeds[0])
     photons = spec.noise.photons_per_frame
-    amps = np.array([_object_amplitudes(psi, spec.optics.n_slits) for psi in states])
-    if spec.optics.n_slits > spec.dim:
+    n_slits, fixed_ref = _slits(spec.dim, spec.reference_mode == "extra_slit")
+    amps = np.array([_object_amplitudes(psi, n_slits) for psi in states])
+    if n_slits > spec.dim:
         amps = amps / math.sqrt(2.0)
     pops = np.abs(amps) ** 2
     measured = _counts(population_rng, pops, photons)
-    ref = np.full(len(states), spec.optics.ref_index)
+    ref = np.full(len(states), fixed_ref)
     if spec.reference_mode == "adaptive":
         # choose_reference row by row: the first strongest population.
         ref = np.argmax(measured, axis=1)
@@ -284,6 +291,8 @@ def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -
     particular a fixed-reference run on a state with an empty slit 0 raises
     WeakReference.  run_batch converts them into failed-trial records.
     """
+    if not isinstance(psi, PureState):
+        raise ValueError(f"psi must be a PureState, got {type(psi).__name__}")
     if psi.dim != spec.dim:
         raise ValueError("state dimension differs from spec.dim")
     _check_int(seed, "seed must be a non-negative integer")

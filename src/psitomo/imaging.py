@@ -161,7 +161,7 @@ class OpticalConfig:
         state under test has to serve as phase anchor.
         """
         _check_int(dim, "qudit dimension must be at least 2", 2)
-        n_slits = dim + 1 if extra_reference else dim
+        n_slits, ref_index = _slits(dim, extra_reference)
         width = (n_slits + 2) * DISPLAY_SLIT_PITCH  # one pitch of margin on each side
         try:  # before a huge dim builds its ROI list
             np.empty((DEFAULT_IMAGE_HEIGHT, width))
@@ -175,7 +175,7 @@ class OpticalConfig:
             rois.append((x, band_y, DISPLAY_SLIT_WIDTH, DEFAULT_BAND_HEIGHT))
         return cls(
             n_slits=n_slits,
-            ref_index=dim if extra_reference else 0,
+            ref_index=ref_index,
             image_dims=(DEFAULT_IMAGE_HEIGHT, width),
             roi_layout=tuple(rois),
             envelope_kind=envelope,
@@ -198,6 +198,11 @@ class OpticalConfig:
             envelope_kind=str(payload.get("envelope_kind", "custom")),
             envelope_width=payload.get("envelope_width"),
         )
+
+
+def _slits(dim: int, extra_reference: bool) -> tuple[int, int]:
+    """A reference mode's slit count and fixed reference slit (the appended one or slit 0)."""
+    return (dim + 1, dim) if extra_reference else (dim, 0)
 
 
 def _envelope_values(config: OpticalConfig) -> tuple[float, ...]:

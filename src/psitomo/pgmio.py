@@ -114,12 +114,13 @@ def save_frames(directory, frames: list[Interferogram], seed: int) -> list[Path]
 
 
 def load_frames(directory) -> list[Interferogram]:
-    """Read every frame_<step>.pgm/.json pair found in a directory."""
+    """Read every frame_<step>.pgm/.json pair found in a directory; a set whose
+    sidecars disagree on seed or scale mixes two acquisitions and raises ValueError."""
     directory = Path(directory)
     pgms = sorted(directory.glob("frame_*.pgm"))
     if not pgms:
         raise FileNotFoundError(f"no frame_*.pgm files in {directory}")
-    frames = []
+    frames, acquisitions = [], []
     for pgm_path in pgms:
         sidecar_path = pgm_path.with_suffix(".json")
         if not sidecar_path.exists():
@@ -127,7 +128,13 @@ def load_frames(directory) -> list[Interferogram]:
         pixels = read_pgm(pgm_path)
         # A sidecar records no envelope, and reconstruction reads none.  Its
         # path prefixes any step or image size the frame refuses.
-        frames.append(read_json(sidecar_path, lambda meta: Interferogram(
+        frame, acquisition = read_json(sidecar_path, lambda meta: (Interferogram(
             _json_int(meta["step"]), pixels, OpticalConfig.from_dict(
-                {**meta, "roi_layout": meta["roi"], "envelope_kind": "flat"}))))
+                {**meta, "roi_layout": meta["roi"], "envelope_kind": "flat"})),
+            (meta.get("seed"), meta.get("scale"))))
+        frames.append(frame)
+        acquisitions.append(acquisition)
+    if any(a != acquisitions[0] for a in acquisitions):
+        raise ValueError(f"{directory} mixes frames of different acquisitions: their "
+                         f"sidecars' (seed, scale) read {acquisitions}")
     return frames

@@ -78,8 +78,11 @@ def test_library_reads_a_saved_calibrated_set_as_the_cli_does(tmp_path):
     assert reconstruct_from_frames(frames).to_dict() == report
 
 
-def test_simulate_requires_dim_or_state_file(tmp_path):
+def test_simulate_requires_dim_or_state_file(tmp_path, capsys):
+    capsys.readouterr()
     assert main(["simulate", "--seed", "1", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "need --dim when no --state-file is given" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_refuses_a_dim_the_state_file_contradicts(tmp_path, capsys):
@@ -147,17 +150,17 @@ def test_reconstruct_rejects_nan_outcomes(tmp_path):
     assert not (tmp_path / "rep.json").exists()
 
 
-def test_reconstruct_needs_exactly_one_input(tmp_path):
-    assert main(["reconstruct", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
-    assert (
-        main(
-            [
-                "reconstruct", "--frames-dir", "x", "--outcomes", "y",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        == EXIT_CONFIG
-    )
+def test_reconstruct_needs_exactly_one_input(tmp_path, capsys):
+    """Neither input is refused, and so are both, though each works alone."""
+    out = str(tmp_path)
+    assert main(["simulate", "--dim", "2", "--seed", "1", "--out-dir", out]) == EXIT_OK
+    outcomes = tmp_path / "outcomes.json"
+    outcomes.write_text(json.dumps(exact_outcomes(haar_random(2, seed=1)).to_dict()))
+    for given in ([], ["--frames-dir", out, "--outcomes", str(outcomes)]):
+        capsys.readouterr()
+        assert main(["reconstruct", *given, "--out-dir", out]) == EXIT_CONFIG
+        assert "pass exactly one of --frames-dir or --outcomes" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_weak_reference_exit_code(tmp_path):
@@ -217,6 +220,42 @@ def test_reconstruct_refuses_a_broken_frames_dir(tmp_path, capsys, spoil, names)
     assert not (tmp_path / "report.json").exists()
 
 
+def test_reconstruct_refuses_frames_of_two_acquisitions(tmp_path, capsys):
+    """A shorter acquisition leaves the calibration frame of a longer one
+    behind; the set's sidecars then disagree on seed and scale."""
+    out = str(tmp_path)
+    for seed, extra in (("1", ["--calibration"]), ("2", [])):
+        argv = ["simulate", "--dim", "5", "--seed", seed, *extra, "--out-dir", out]
+        assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main(["reconstruct", "--frames-dir", out, "--out-dir", out]) == EXIT_CONFIG
+    assert f"error: {tmp_path} mixes frames of different acquisitions" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_each_command_prints_one_line(tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path)]
+    capsys.readouterr()
+    assert main(["simulate", "--dim", "2", "--seed", "1", *out]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote 4 frames to {tmp_path}\n"
+
+    assert main(["reconstruct", "--frames-dir", str(tmp_path), *out]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert capsys.readouterr().out == (
+        f"dim 2, reference {report['reference']}, budget {report['outcome_budget']}, "
+        f"verdict {report['verdict']}; report: {tmp_path / 'report.json'}\n")
+
+    assert main(["sweep", "--trials", "3", "--seed", "1", *out]) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert capsys.readouterr().out == (
+        f"3 trials, mean F = {summary['mean_fidelity']:.5f}, sd = {summary['std_fidelity']:.5f}, "
+        f"{summary['n_failed']} failed; wrote {tmp_path}\n")
+
+    csv_path = str(tmp_path / "trials.csv")
+    assert main(["figure", "--mode", "hist", "--csv", csv_path, *out]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'figure.svg'}\n"
+
+
 def test_sweep_writes_deterministic_outputs(tmp_path):
     args = ["sweep", "--dim", "2", "--trials", "6", "--seed", "3", "--photons", "1e4"]
     a, b = tmp_path / "a", tmp_path / "b"
@@ -248,13 +287,15 @@ def test_sweep_config_file_with_flag_override(tmp_path):
     code = main(
         [
             "sweep", "--config", str(cfg_path), "--trials", "5", "--seed", "2",
-            "--out-dir", str(out),
+            "--pipeline", "frames", "--ref-mode", "extra_slit", "--out-dir", str(out),
         ]
     )
     assert code == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["dim"] == 3
-    assert summary["n_trials"] == 5  # the flag wins over the config file
+    # The flags win over the config file and the defaults.
+    assert summary["n_trials"] == 5
+    assert (summary["pipeline"], summary["reference_mode"]) == ("frames", "extra_slit")
     assert summary["photons_per_frame"] == 5e3
 
 

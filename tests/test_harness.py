@@ -96,6 +96,22 @@ def test_state_source_validation(kind, n, states, names):
         StateSource(kind, n, states)
 
 
+def test_explicit_source_of_a_generator_keeps_its_states():
+    states = [haar_random(2, seed=k) for k in range(3)]
+    source = StateSource.explicit(psi for psi in states)
+    assert source.n == 3 and source.states == tuple(states)
+
+
+@pytest.mark.parametrize("bad", [np.array([1, 0]), None, "ab"], ids=["array", "none", "str"])
+def test_inputs_that_are_not_states_are_refused(bad):
+    """A source refuses them when it is built, and run_trial refuses its psi,
+    before any attribute of a state is read."""
+    with pytest.raises(ValueError, match="explicit states must be PureState instances"):
+        StateSource.explicit([haar_random(2, seed=1), bad])
+    with pytest.raises(ValueError, match="psi must be a PureState"):
+        run_trial(bad, spec_of(dim=2), seed=1)
+
+
 def test_states_of_another_dimension_are_refused():
     two = [haar_random(2, seed=1)]
     with pytest.raises(ValueError, match="explicit state dimension differs from spec.dim"):
@@ -672,6 +688,21 @@ def test_spec_optics_default_to_the_layout_of_the_mode(mode):
     assert "optics" not in {f.name for f in fields(ExperimentSpec)}
     assert spec == spec_of(dim=3, reference_mode=mode)
     assert replace(spec, dim=5).optics == OpticalConfig.for_dim(5, extra_reference=extra)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive", "extra_slit"])
+def test_outcome_runs_build_no_camera_layout(monkeypatch, mode):
+    """An outcome spec takes its slits from the mode alone; a frames spec
+    builds its layout when it is made."""
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("for_dim called")
+
+    monkeypatch.setattr(OpticalConfig, "for_dim", refuse)
+    stats = run_batch(spec_of(dim=3, n=4, reference_mode=mode))
+    assert stats.n_trials == 4 and stats.mean_fidelity > 0.999
+    with pytest.raises(RuntimeError, match="for_dim called"):
+        spec_of(dim=3, pipeline="frames", reference_mode=mode)
 
 
 def test_histogram_edges_of_perfect_fidelities_start_1e9_below_one():

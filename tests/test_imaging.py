@@ -79,13 +79,15 @@ def test_config_rejects_overlapping_rois():
 
 def test_config_rejects_envelope_outside_unit_interval():
     cfg = OpticalConfig.for_dim(2)
-    with pytest.raises(ValueError):
-        OpticalConfig(
-            n_slits=2,
-            image_dims=cfg.image_dims,
-            roi_layout=cfg.roi_layout,
-            ref_envelope=(1.0, 1.5),
-        )
+    for kind in ("sinc", "custom"):
+        with pytest.raises(ValueError, match=r"envelope entries must lie in \[0, 1\]"):
+            OpticalConfig(
+                n_slits=2,
+                image_dims=cfg.image_dims,
+                roi_layout=cfg.roi_layout,
+                ref_envelope=(1.0, 1.5),
+                envelope_kind=kind,
+            )
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.5])
@@ -608,8 +610,10 @@ def test_save_and_load_frames_round_trip(tmp_path):
     frames = render_frames(
         psi, cfg, NoiseModel(photons_per_frame=5e4), seed=11, include_calibration=True
     )
-    save_frames(tmp_path, frames, seed=11)
-    loaded = load_frames(tmp_path)
+    where = tmp_path / "missing" / "nested"  # made by save_frames, given as a str
+    paths = save_frames(str(where), frames, seed=11)
+    assert paths == [where / f"frame_{step}.pgm" for step in (0, 1, 2, 3, CALIBRATION_STEP)]
+    loaded = load_frames(where)
     assert [f.step_index for f in loaded] == [0, 1, 2, 3, CALIBRATION_STEP]
     assert loaded[0].config.n_slits == 3
     assert loaded[0].config.roi_layout == cfg.roi_layout

@@ -134,6 +134,8 @@ def test_choose_reference():
 @pytest.mark.parametrize(
     "call, message",
     [
+        (lambda: circular_mean([]), "need at least one phase"),
+        (lambda: circular_mean([0.0, 1.0], weights=[1.0]), "weights must match phases in length"),
         (lambda: circular_mean([0.1, 0.2], weights=[0.0, 0.0]), "weights must have positive sum"),
         (lambda: choose_reference([]), "need at least one population"),
         (lambda: certify_purity([0.5, 0.5], [1.0], 0.5, ref_index=0),
@@ -143,7 +145,8 @@ def test_choose_reference():
         (lambda: choose_reference([[0.1, 0.5], [0.2, 0.3]]), "populations must be 1-D"),
         (lambda: choose_reference(0.5), "populations must be 1-D"),
     ],
-    ids=["zero-weights", "no-populations", "length-mismatch", "2-D", "reference-2-D",
+    ids=["no-phases", "weights-length", "zero-weights", "no-populations", "length-mismatch", "2-D",
+         "reference-2-D",
          "reference-0-D"],
 )
 def test_reconstruct_validation(call, message):

@@ -137,7 +137,7 @@ def test_fidelity_orthogonal_states():
 
 
 def test_fidelity_dimension_mismatch():
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch, match="dims 2 and 3 differ"):
         fidelity(haar_random(2, seed=0), haar_random(3, seed=0))
 
 
