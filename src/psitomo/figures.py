@@ -22,7 +22,7 @@ _RAMP = (
 
 
 def _ramp_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
+    """The ramp's color at ``t`` in [0, 1]."""
     pos = t * (len(_RAMP) - 1)
     i = min(int(pos), len(_RAMP) - 2)
     frac = pos - i

@@ -6,10 +6,12 @@ checked without spawning subprocesses.
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psitomo
 from psitomo import (
     OpticalConfig,
     PureState,
@@ -676,3 +678,8 @@ def test_json_input_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, write
     assert named and named.group(1) in {"in", "frame_2", "summary"}, err
     assert names is None or names in err, err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_package_version_is_the_one_pyproject_declares():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == psitomo.__version__

@@ -22,6 +22,7 @@ def test_bloch_figure_marker_count_and_annotation():
     svg = bloch_figure(states, fids)
     assert svg.count('class="pt"') == 25
     assert "mean F = 0.9948" in svg
+    assert "color: F in [0.9900, 0.9996]</text>" in svg
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
 
@@ -36,6 +37,13 @@ def test_histogram_figure_bar_count():
     svg = histogram_figure(fids)
     assert svg.count('class="bar"') == 20
     assert svg.startswith("<svg")
+
+
+def test_histogram_figure_labels_its_axes():
+    svg = histogram_figure([0.99, 0.995, 1.0, 0.98])
+    labels = re.findall(r'<text x="([^"]+)"[^>]*font-size="11"[^>]*>([^<]*)</text>', svg)
+    assert labels == [("56.00", "0.9800"), ("178.00", "0.9850"), ("300.00", "0.9900"),
+                      ("422.00", "0.9950"), ("544.00", "1.0000"), ("48", "1"), ("48", "0")]
 
 
 def test_both_figures_carry_the_same_summary_line():

@@ -26,23 +26,18 @@ def _capped():
     resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
 
 
-def _cli(tmp_path, argv):
-    """``psitomo argv --out-dir tmp_path`` in a subprocess capped at CAP."""
-    src = str(Path(psitomo.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-m", "psitomo.cli", *argv, "--out-dir",
-                           str(tmp_path)], env=env, capture_output=True, text=True,
-                          preexec_fn=_capped, timeout=60)
-
-
 @pytest.mark.parametrize("argv", [
     ["sweep", "--dim", HUGE, "--seed", "1"],
     ["sweep", "--dim", HUGE, "--pipeline", "frames", "--seed", "1"],
     ["simulate", "--dim", HUGE, "--seed", "1"],
 ], ids=["sweep-outcomes", "sweep-frames", "simulate"])
 def test_huge_dimension_exits_2_under_a_memory_cap(tmp_path, argv):
-    done = _cli(tmp_path, argv)
+    src = str(Path(psitomo.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "psitomo.cli", *argv, "--out-dir",
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          preexec_fn=_capped, timeout=60)
     assert done.returncode == EXIT_CONFIG, done.stderr
     assert done.stderr.startswith(f"error: qudit dimension {HUGE} is too large: "), done.stderr
     assert not any(tmp_path.iterdir())
@@ -51,7 +46,12 @@ def test_huge_dimension_exits_2_under_a_memory_cap(tmp_path, argv):
 def test_an_outcome_sweep_allocates_no_camera_image_under_a_memory_cap(tmp_path):
     """At d = 70000 the standard layout's 128-row image would not fit under
     the cap; an outcome sweep never builds it."""
-    done = _cli(tmp_path, ["sweep", "--dim", "70000", "--trials", "2", "--photons", "1e6",
-                           "--seed", "1"])
+    src = str(Path(psitomo.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "psitomo.cli", "sweep", "--dim", "70000",
+                           "--trials", "2", "--photons", "1e6", "--seed", "1", "--out-dir",
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          preexec_fn=_capped, timeout=60)
     assert done.returncode == EXIT_OK, done.stderr
     assert json.loads((tmp_path / "summary.json").read_text())["n_trials"] == 2

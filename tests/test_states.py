@@ -40,6 +40,15 @@ def test_pure_state_amplitudes_are_read_only():
         psi.amps[0] = 0.5
 
 
+@pytest.mark.parametrize("make", [lambda: PureState(np.array([1.0, 0.0])),
+                                  lambda: DensityMatrix(np.diag([1.0, 0.0]))],
+                         ids=["pure", "density"])
+def test_states_take_no_new_attributes(make):
+    """Both state classes use ``__slots__``: no per-instance dict to grow."""
+    with pytest.raises(AttributeError):
+        make().note = 1
+
+
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ZeroVector):
         normalize(np.zeros(4))

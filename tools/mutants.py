@@ -6,18 +6,18 @@ with ``-x``.  The mutant is
 killed when tier-1 fails and survives when it passes.  Tier-1 also runs in an
 unmutated copy; if it fails there, no kill means anything and the script exits 2.
 
-    python tools/mutants.py [--jobs N]
+    python tools/mutants.py
 
-Mutants in EQUIVALENT change only speed, so no test can kill them; they run
-too, and their survival is reported but not an error.  The script exits 1 if a
-mutant of MUTANTS survives, or if an edit's old text no longer occurs exactly
-once in its file (the list has fallen behind the source).  It lives outside
-tier-1's collection.
+Runs as many copies at a time as the host has cores.  Edits in EQUIVALENT
+change only speed, so no test can kill them; they are listed with their reason
+and not run.  The script exits 1 if a mutant of MUTANTS survives, or if the old
+text of any edit, EQUIVALENT included, no longer occurs exactly once in its
+file (the list has fallen behind the source).  It lives outside tier-1's
+collection.
 """
 
 from __future__ import annotations
 
-import argparse
 import concurrent.futures
 import os
 import shutil
@@ -76,6 +76,24 @@ MUTANTS = [
     # ExperimentSpec's own dimension check: outcome specs build no layout to check it.
     ("harness.py",
      '        _check_int(self.dim, "qudit dimension must be at least 2", 2)\n', ""),
+    # More found by a sweep over every statement: figure labels, the two
+    # allocation probes (killed by test_huge_dimension), slots, the version.
+    ("figures.py",
+     '    body.append(_text(16, size - 14, 13, f"color: F in [{lo:.4f}, {hi:.4f}]"))\n', ""),
+    ("figures.py", "        x = left + frac * plot_w\n", ""),
+    ("figures.py",
+     '        body.append(_text(f"{x:.2f}", top + plot_h + 18, 11, f"{value:.4f}", "middle"))\n',
+     ""),
+    ("figures.py",
+     '    body += [_text(left - 8, top + 4, 11, peak, "end"),\n'
+     '             _text(left - 8, top + plot_h + 4, 11, 0, "end")]\n', ""),
+    ("imaging.py", "            np.empty((DEFAULT_IMAGE_HEIGHT, width))\n", "            pass\n"),
+    ("states.py",
+     '        raise ValueError(f"qudit dimension {dim} is too large: {rows}x2x{dim} Haar "\n'
+     '                         "normals cannot be allocated") from None\n', "        pass\n"),
+    ("states.py", '    __slots__ = ("_amps",)\n', ""),
+    ("states.py", '    __slots__ = ("_matrix",)\n', ""),
+    ("__init__.py", '__version__ = "0.1.0"\n', ""),
     # A set that mixes two acquisitions, and inputs that are not states.
     ("pgmio.py",
      "    if any(a != acquisitions[0] for a in acquisitions):\n",
@@ -89,7 +107,9 @@ MUTANTS = [
     ("harness.py", '        if self.pipeline == "frames":', "        if False:"),
 ]
 
-# (file, old text, new text, why no test can kill it)
+# (file, old text, new text, why no test can kill it).  Deleting a module's
+# `from __future__ import annotations`, or `from . import errors` in `__init__`
+# (the submodules import it anyway), changes no behaviour either; not listed.
 EQUIVALENT = [
     ("projectors.py",
      '        if kind == "count":\n'
@@ -119,7 +139,7 @@ def _tier1(mutant) -> tuple[bool, float]:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=SKIPPED)
         if mutant is not None:
-            file, old, new = mutant[:3]
+            file, old, new = mutant
             (copy / "src" / "psitomo" / file).write_text(_edited(file, old, new)[0])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(copy / "src"), os.environ.get("PYTHONPATH")) if p)}
@@ -129,31 +149,27 @@ def _tier1(mutant) -> tuple[bool, float]:
         return done.returncode == 0, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2, help="tier-1 runs at a time")
-    args = parser.parse_args(argv)
-    mutants = MUTANTS + EQUIVALENT
-    labels = [f"{m[0]}:{_edited(*m[:3])[1]}" for m in mutants]  # checks every edit first
+def main() -> int:
+    for file, old, new, _ in EQUIVALENT:
+        _edited(file, old, new)  # the old text still occurs once
+    labels = [f"{m[0]}:{_edited(*m)[1]}" for m in MUTANTS]
     start = time.perf_counter()
-    with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
         base = pool.submit(_tier1, None)
-        runs = [pool.submit(_tier1, m) for m in mutants]
+        runs = [pool.submit(_tier1, m) for m in MUTANTS]
         if not base.result()[0]:
             for run in runs:
                 run.cancel()
             print("tier-1 fails without a mutant; no kill can be trusted")
             return 2
         survivors = []
-        for mutant, label, run in zip(mutants, labels, runs):
+        for label, run in zip(labels, runs):
             survived, seconds = run.result()
-            equivalent = mutant[3] if len(mutant) > 3 else None
-            verdict = "survived" if survived else "killed"
-            note = f" (equivalent: {equivalent})" if equivalent else ""
-            print(f"{verdict:8} {label:18} {seconds:6.1f} s{note}", flush=True)
-            if survived and not equivalent:
+            print(f"{'survived' if survived else 'killed':8} {label:18} {seconds:6.1f} s",
+                  flush=True)
+            if survived:
                 survivors.append(label)
-    print(f"{len(mutants)} mutants, {len(EQUIVALENT)} marked equivalent, "
+    print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} marked equivalent and not run, "
           f"{len(survivors)} unmarked survivors, {time.perf_counter() - start:.0f} s")
     if survivors:
         print("unmarked survivors: " + ", ".join(survivors))
