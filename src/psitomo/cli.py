@@ -27,7 +27,7 @@ from .harness import (
     write_trials_csv,
 )
 from .imaging import NoiseModel, OpticalConfig, annotate_rois, render_frames
-from .pgmio import PGM_MAXVAL, load_frames, read_json, save_frames, write_json, write_pgm
+from .pgmio import PGM_MAXVAL, _rewrite, load_frames, read_json, save_frames, write_json, write_pgm
 from .projectors import ProjectorOutcomes
 from .reconstruct import reconstruct_from_frames, reconstruct_from_outcomes
 from .states import PureState, _json_int, bloch_grid, haar_random
@@ -193,7 +193,8 @@ def cmd_figure(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{args.csv}: {exc}") from None
     fig_path = out / args.out
-    fig_path.write_text(svg)
+    with _rewrite(fig_path, "w") as fh:
+        fh.write(svg)
     print(f"wrote {fig_path}")
     return EXIT_OK
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import TomographyError, Unattainable
 from .imaging import NoiseModel, OpticalConfig, _object_amplitudes, _render, _slits, _steps
-from .pgmio import write_json
+from .pgmio import _rewrite, write_json
 from .projectors import ProjectorOutcomes, _counts, _step_phases, _two_beam_table
 from .reconstruct import (
     TAU_PURITY,
@@ -341,7 +341,7 @@ def _histogram_edges(fids: np.ndarray) -> tuple[float, ...]:
 
 def write_trials_csv(path, stats: SummaryStats) -> None:
     """One row per trial; float fields keep full round-trip precision."""
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "dim", "fidelity", "verdict", "reference", "seed"])
         for t in stats.trials:

@@ -3,13 +3,17 @@
 Each frame ``frame_<step>.pgm`` stores intensities scaled to the joint
 16-bit range of the whole frame set (one common factor, so ratios between
 frames survive); the sidecar ``frame_<step>.json`` records the step index,
-the ROI layout, the seed, and that scale factor.
+the ROI layout, the seed, and that scale factor.  ``_rewrite`` owns writing
+a file: every file psitomo writes is rewritten in place and cut to its length.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,16 @@ PGM_MAXVAL = 65535
 _HEADER_RE = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
 
 
+@contextmanager
+def _rewrite(path, mode, newline=None):
+    """``path`` to write over in place (truncating sends a file to storage on close), then cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, mode, newline=newline) as fh:
+        yield fh
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and pipes cannot be cut
+            fh.truncate()
+
+
 def write_pgm(path, pixels: np.ndarray) -> None:
     """Write one grayscale image; values must already fit 0..65535."""
     arr = np.asarray(pixels)
@@ -33,9 +47,8 @@ def write_pgm(path, pixels: np.ndarray) -> None:
         raise ValueError("PGM image must be 2-D")
     if not (arr.min() >= 0 and arr.max() <= PGM_MAXVAL):  # NaN fails too
         raise ValueError(f"pixel values must lie in 0..{PGM_MAXVAL}")
-    height, width = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii"))
+    with _rewrite(path, "wb") as fh:
+        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii"))
         fh.write(arr.astype(">u2"))
 
 
@@ -75,7 +88,8 @@ def read_json(path, build=dict):
 
 def write_json(path, payload) -> None:
     """Write ``payload`` as JSON with a two-space indent, sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _rewrite(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def save_frames(directory, frames: list[Interferogram], seed: int) -> list[Path]:

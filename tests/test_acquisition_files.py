@@ -2,8 +2,9 @@
 
 ``simulate`` followed by ``reconstruct --frames-dir`` writes the PGM frames,
 their sidecars, the true state and the report; the digests below pin every
-byte of three such directories.  main parses every call with one parser per
-process, so one call must leave nothing behind for the next.
+byte of three such directories, and of one written over a longer acquisition.
+main parses every call with one parser per process, so one call must leave
+nothing behind for the next.
 """
 
 import hashlib
@@ -50,9 +51,13 @@ def acquire(directory: Path, flags) -> None:
         == EXIT_OK
 
 
-@pytest.mark.parametrize("flags, digest", [a[1:] for a in _ACQUISITIONS],
-                         ids=[a[0] for a in _ACQUISITIONS])
-def test_acquisition_files_match_their_digest(tmp_path, flags, digest):
+@pytest.mark.parametrize(
+    "flags, digest, before",
+    [(*a[1:], None) for a in _ACQUISITIONS] + [(*_ACQUISITIONS[0][1:], _ACQUISITIONS[2][1])],
+    ids=[a[0] for a in _ACQUISITIONS] + ["d3-calibration-dark-over-d14"])
+def test_acquisition_files_match_their_digest(tmp_path, flags, digest, before):
+    if before is not None:  # every file of the d=14 set is longer than its d=3 rewrite
+        acquire(tmp_path, before)
     acquire(tmp_path, flags)
     assert directory_digest(tmp_path) == digest
 

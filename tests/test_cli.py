@@ -5,6 +5,7 @@ checked without spawning subprocesses.
 """
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -322,6 +323,42 @@ def test_figure_modes_and_determinism(tmp_path):
                      "--out-dir", str(out)]) == EXIT_OK
         assert (out / f1).read_bytes() == (out / f2).read_bytes()
         assert (out / f1).read_text().startswith("<svg")
+
+
+def test_a_sweep_and_figures_over_a_longer_run_match_a_fresh_directory(tmp_path):
+    """trials.csv, summary.json and both SVGs of a 4-trial sweep, written over
+    the longer files of a 16-trial one, leave no tail of the old bytes."""
+    def sweep(out, trials):
+        assert main(["sweep", "--dim", "2", "--source", "bloch", "--trials", str(trials),
+                     "--seed", "1", "--out-dir", str(out)]) == EXIT_OK
+        for mode in ("hist", "bloch"):
+            assert main(["figure", "--mode", mode, "--csv", str(out / "trials.csv"),
+                         "--out", f"{mode}.svg", "--out-dir", str(out)]) == EXIT_OK
+
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    sweep(again, 16)
+    longer = {p.name: p.stat().st_size for p in again.iterdir()}
+    sweep(again, 4)
+    sweep(fresh, 4)
+    assert sorted(longer) == sorted(p.name for p in fresh.iterdir())
+    for name, size in longer.items():
+        assert (again / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert size > len((fresh / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--frames-dir", "{out}", "--report", os.devnull],
+    ["figure", "--mode", "hist", "--csv", "{out}/trials.csv", "--out", os.devnull],
+], ids=["report", "figure"])
+def test_an_output_may_be_the_null_device(tmp_path, argv):
+    """The null device is written to but, being no regular file, not cut to length."""
+    out = str(tmp_path)
+    assert main(["simulate", "--dim", "3", "--seed", "5", "--out-dir", out]) == EXIT_OK
+    assert main(["sweep", "--dim", "2", "--trials", "4", "--seed", "1", "--out-dir", out]) \
+        == EXIT_OK
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert main([a.format(out=out) for a in argv] + ["--out-dir", out]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 @pytest.mark.parametrize(

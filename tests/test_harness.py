@@ -280,10 +280,13 @@ def test_noiseless_histogram_is_not_split_by_rounding():
 # ------------------------------------------------------------ writers
 
 
-def test_trials_csv_is_byte_stable(tmp_path):
-    spec = spec_of(n=5, noise=NoiseModel(photons_per_frame=2e4))
+@pytest.mark.parametrize("rows_before", [0, 16], ids=["fresh", "over-16-rows"])
+def test_trials_csv_is_byte_stable(tmp_path, rows_before):
+    spec = spec_of(n=4, noise=NoiseModel(photons_per_frame=2e4))
     stats = run_batch(spec)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    if rows_before:  # a longer file, rewritten in place, leaves no tail
+        write_trials_csv(p1, run_batch(spec_of(n=rows_before)))
     write_trials_csv(p1, stats)
     write_trials_csv(p2, run_batch(spec))
     assert p1.read_bytes() == p2.read_bytes()

@@ -552,10 +552,13 @@ def test_pgm_rejects_maxval_outside_range(tmp_path, maxval):
 
 
 def test_pgm_rejects_out_of_range(tmp_path):
-    with pytest.raises(ValueError):
-        write_pgm(tmp_path / "bad.pgm", np.array([[70000.0]]))
-    with pytest.raises(ValueError):
-        write_pgm(tmp_path / "bad.pgm", np.array([[-1.0]]))
+    path = tmp_path / "bad.pgm"
+    write_pgm(path, np.ones((2, 3)))
+    before = path.read_bytes()
+    for bad in (70000.0, -1.0):
+        with pytest.raises(ValueError):
+            write_pgm(path, np.array([[bad]]))
+        assert path.read_bytes() == before  # refused before the file is opened
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -565,6 +568,11 @@ def test_pgm_refuses_non_finite_pixels(tmp_path, bad):
     with pytest.raises(ValueError, match="pixel values"):
         write_pgm(path, np.array([[bad, 3.0]]))
     assert not path.exists()
+    write_pgm(path, np.full((2, 3), 7.0))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="pixel values"):
+        write_pgm(path, np.array([[bad, 3.0]]))
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("pixels", [np.zeros(3), np.zeros((1, 2, 2))], ids=["1-D", "3-D"])
