@@ -25,6 +25,7 @@ from .pgmio import _rewrite, write_json
 from .projectors import ProjectorOutcomes, _counts, _step_phases, _two_beam_table
 from .reconstruct import (
     TAU_PURITY,
+    _strongest,
     choose_reference,
     reconstruct_from_frames,
     reconstruct_from_outcomes,
@@ -226,8 +227,7 @@ def _outcome_run(states, spec: ExperimentSpec, seeds):
     measured = _counts(population_rng, pops, photons)
     ref = np.full(len(states), fixed_ref)
     if spec.reference_mode == "adaptive":
-        # choose_reference row by row: the first strongest population.
-        ref = np.argmax(measured, axis=1)
+        ref = _strongest(measured)
     phases = _step_phases(jitter_rng, spec.noise.phase_step_jitter_sd, (len(states),))
     coherence = amps[np.arange(len(states)), ref][:, None] * np.conj(amps)
     tables = _counts(count_rng, _two_beam_table(pops, coherence, ref, phases), photons)

@@ -290,7 +290,9 @@ class _Geometry(NamedTuple):
         return self.per_slit(values) / self.area
 
 
-@lru_cache(maxsize=256)  # adaptive runs: config + band config per reference, 128 at d=64
+# Adaptive runs take two entries per reference slit (config + band config), so from
+# d=128 one run evicts: 800 trials at d=300 miss 948 times at this bound, 550 unbounded.
+@lru_cache(maxsize=256)
 def _geometry(config: OpticalConfig) -> _Geometry:
     layout = config.roi_layout
     widths = np.array([w for _, _, w, _ in layout])

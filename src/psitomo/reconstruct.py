@@ -123,6 +123,11 @@ def circular_mean(phases, weights=None) -> float:
     return float(angle)
 
 
+def _strongest(populations):
+    """The reference rule: the index of the first strongest population, along the last axis."""
+    return np.argmax(populations, axis=-1)
+
+
 def choose_reference(populations) -> int:
     """Index of the strongest population; ties go to the lowest index."""
     pops = _as_array(populations, "populations")
@@ -133,7 +138,7 @@ def choose_reference(populations) -> int:
     _check_finite(pops, "populations", nonneg=True)
     if float(pops.max()) <= 0.0:
         raise AllZero("all populations are zero")
-    return int(np.argmax(pops))
+    return int(_strongest(pops))
 
 
 @dataclass(frozen=True)

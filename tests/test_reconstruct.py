@@ -12,6 +12,7 @@ from psitomo import (
     Interferogram,
     NoiseModel,
     OpticalConfig,
+    ProjectorOutcomes,
     ProjectorSpec,
     StateSource,
     certify_purity,
@@ -64,6 +65,13 @@ def test_psi_phase_returns_positive_pi_on_the_branch_cut():
     assert psi_phase(i1, i2, i3) > 0
 
 
+def test_an_angle_of_exactly_minus_pi_folds_to_pi():
+    # arctan2 gives -pi for a resultant on the negative real axis with a -0.0 or
+    # rounded-away imaginary part; the fold into (-pi, pi] turns it into +pi.
+    assert psi_phase(-1.0, 0.0, -0.0) == math.pi
+    assert circular_mean([-math.pi]) == math.pi
+
+
 def test_psi_phase_degenerate_raises():
     with pytest.raises(DegenerateFringe):
         psi_phase(1.0, 1.0, 1.0)
@@ -111,6 +119,11 @@ def test_circular_mean_weights():
 def test_circular_mean_degenerate_resultant():
     with pytest.raises(ZeroResultant):
         circular_mean([0.0, math.pi])
+
+
+def test_circular_mean_keeps_a_resultant_of_1e_9_of_the_weight():
+    # _RESULTANT_TOL is 1e-12: a resultant 2e-9 long over total weight 2 has a direction.
+    assert circular_mean([0.0, math.pi], [1.0, 1.0 - 2e-9]) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_circular_mean_validation():
@@ -258,6 +271,11 @@ def test_slits_either_side_of_the_weak_fraction(invert):
     assert np.isfinite(verdict.margins[1])
 
 
+def test_a_slit_at_exactly_the_weak_fraction_is_unverifiable():
+    check = certify_purity([1.0, 1e-4], [1.0, 0.0], 1.0, ref_index=0, tau=0.0)
+    assert check.unverifiable == (1,)
+
+
 def test_certify_purity_vacuous_when_nothing_verifiable():
     pops = np.array([1.0, 1e-9])
     check = certify_purity(pops, np.array([1.0, 0.0]), 1.0, ref_index=0)
@@ -322,6 +340,16 @@ def test_reconstruct_rejects_weak_reference():
     psi = normalize(np.array([0.0, 1.0]))
     with pytest.raises(WeakReference):
         reconstruct_from_outcomes(exact_outcomes(psi))
+
+
+def test_a_reference_at_exactly_the_weak_fraction_anchors():
+    # The reference may sit at exactly WEAK_FRACTION * peak (5e-5 against a peak of 0.5).
+    pops = np.array([5e-5, 0.5, 0.49995])
+    psi = normalize(np.sqrt(pops) * np.exp(1j * np.array([0.0, 0.4, -1.1])))
+    table = exact_outcomes(psi).interference
+    report = reconstruct_from_outcomes(ProjectorOutcomes(3, 0, pops, table))
+    assert report.reference_used == 0
+    assert fidelity(psi, report.state) >= 1.0 - 1e-12
 
 
 def test_mixed_state_fails_purity_but_pure_passes():

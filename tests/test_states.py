@@ -28,6 +28,12 @@ def test_pure_state_requires_unit_norm():
         PureState(np.array([1.0, 1.0]))
 
 
+def test_pure_state_refuses_a_norm_off_by_1e_8():
+    # NORM_TOL is 1e-12: sum |c_k|^2 = 1 + 1e-8 is not unit norm.
+    with pytest.raises(ValueError, match="not unit-norm"):
+        PureState([1.0, 1e-4])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pure_state_rejects_non_finite_amplitudes(bad):
     with pytest.raises(ValueError):
@@ -72,6 +78,13 @@ def test_canonical_pins_pivot_phase():
 def test_canonical_is_idempotent_object():
     psi = normalize(np.array([0.5, 0.5, np.sqrt(0.5)])).canonical()
     assert psi.canonical() is psi
+
+
+def test_canonical_pivots_on_an_amplitude_just_above_1e_9():
+    # PHASE_PIVOT is 1e-9: slit 0 at 1e-7 is the pivot, so it stays real and positive.
+    psi = PureState([1e-7, np.sqrt(1.0 - 1e-14) * np.exp(0.7j)]).canonical()
+    assert psi.amps[0].imag == 0.0
+    assert psi.amps[0].real > 0.0
 
 
 def test_canonical_skips_tiny_leading_amplitude():
@@ -155,6 +168,12 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [0.4, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2))  # trace 2
+
+
+def test_density_matrix_refuses_an_eigenvalue_of_minus_1e_8():
+    # PSD_TOL is 1e-10: rounding may go below zero, a -1e-8 eigenvalue may not.
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(np.diag([1.0 + 1e-8, -1e-8]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
