@@ -20,7 +20,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import TomographyError, Unattainable
-from .imaging import NoiseModel, OpticalConfig, _object_amplitudes, _render, _slits, _steps
+from .imaging import (NoiseModel, OpticalConfig, _allocatable, _object_amplitudes, _render,
+                      _slits, _steps)
 from .pgmio import _rewrite, write_json
 from .projectors import ProjectorOutcomes, _counts, _step_phases, _two_beam_table
 from .reconstruct import (
@@ -121,7 +122,7 @@ class ExperimentSpec:
             if adaptive and custom and min(c.ref_envelope) <= 0:
                 raise ValueError("an adaptive run needs a custom envelope positive at every slit")
         if self.pipeline == "frames":  # built now, so a layout too large to render fails here
-            self.optics
+            _allocatable(self.optics.image_dims, "the optical config is too large")
 
     @cached_property
     def optics(self) -> OpticalConfig:

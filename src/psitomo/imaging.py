@@ -142,9 +142,9 @@ class OpticalConfig:
 
     @property
     def slit_pitch_px(self) -> float:
-        """Mean spacing of the ROI centres, in pixels."""
-        centers = [x + w / 2.0 for x, _, w, _ in self.roi_layout]
-        return (centers[-1] - centers[0]) / (self.n_slits - 1)
+        """Mean spacing of the ROI centres, in pixels: the end ROIs' distance over the gaps."""
+        (first, _, w_first, _), (last, _, w_last, _) = self.roi_layout[0], self.roi_layout[-1]
+        return ((last + w_last / 2.0) - (first + w_first / 2.0)) / (self.n_slits - 1)
 
     @classmethod
     def for_dim(
@@ -163,21 +163,16 @@ class OpticalConfig:
         _check_int(dim, "qudit dimension must be at least 2", 2)
         n_slits, ref_index = _slits(dim, extra_reference)
         width = (n_slits + 2) * DISPLAY_SLIT_PITCH  # one pitch of margin on each side
-        try:  # before a huge dim builds its ROI list
-            np.empty((DEFAULT_IMAGE_HEIGHT, width))
-        except (MemoryError, ValueError):
-            raise ValueError(f"qudit dimension {dim} is too large: its "
-                             f"{DEFAULT_IMAGE_HEIGHT}x{width} image cannot be allocated") from None
+        _allocatable((DEFAULT_IMAGE_HEIGHT, width), f"qudit dimension {dim} is too large")
         band_y = (DEFAULT_IMAGE_HEIGHT - DEFAULT_BAND_HEIGHT) // 2
-        rois = []
-        for k in range(n_slits):
-            x = (k + 1) * DISPLAY_SLIT_PITCH + (DISPLAY_SLIT_PITCH - DISPLAY_SLIT_WIDTH) // 2
-            rois.append((x, band_y, DISPLAY_SLIT_WIDTH, DEFAULT_BAND_HEIGHT))
+        inset = (DISPLAY_SLIT_PITCH - DISPLAY_SLIT_WIDTH) // 2  # each ROI centred in its pitch
+        xs = np.arange(DISPLAY_SLIT_PITCH + inset, width - DISPLAY_SLIT_PITCH, DISPLAY_SLIT_PITCH)
+        rois = [(x, band_y, DISPLAY_SLIT_WIDTH, DEFAULT_BAND_HEIGHT) for x in xs.tolist()]
         return cls(
             n_slits=n_slits,
             ref_index=ref_index,
             image_dims=(DEFAULT_IMAGE_HEIGHT, width),
-            roi_layout=tuple(rois),
+            roi_layout=rois,
             envelope_kind=envelope,
         )
 
@@ -205,17 +200,25 @@ def _slits(dim: int, extra_reference: bool) -> tuple[int, int]:
     return (dim + 1, dim) if extra_reference else (dim, 0)
 
 
+def _allocatable(dims, what: str) -> None:
+    """Refuse, as a configuration error naming ``what``, an image that cannot be allocated."""
+    try:
+        np.empty(dims)
+    except (MemoryError, ValueError):
+        raise ValueError(f"{what}: its {dims[0]}x{dims[1]} image cannot be allocated") from None
+
+
 def _envelope_values(config: OpticalConfig) -> tuple[float, ...]:
     """The sinc or flat reference envelope that ``config``'s ROI layout implies."""
-    if config.envelope_kind == "flat":
-        return tuple(1.0 for _ in range(config.n_slits))
-    centers = np.array([x + w / 2.0 for x, _, w, _ in config.roi_layout])
-    # Default width keeps every slit inside the central diffraction lobe.
-    width = config.envelope_width or 2.0 * config.n_slits * config.slit_pitch_px
+    x, _, widths, _ = np.array(config.roi_layout).T  # one (n, 4) ROI array
+    centers = x + widths / 2.0
+    # Default width keeps every slit inside the central diffraction lobe; flat is infinitely wide.
+    width = np.inf if config.envelope_kind == "flat" else (
+        config.envelope_width or 2.0 * config.n_slits * config.slit_pitch_px)
     vals = np.sinc((centers - centers[config.ref_index]) / width)
     # A slit beyond the first zero would see a sign flip; clamp it dark
     # instead of rendering an unphysical negative amplitude.
-    return tuple(float(v) for v in np.clip(vals, 0.0, 1.0))
+    return tuple(vals.clip(0.0, 1.0).tolist())
 
 
 @dataclass(frozen=True)
@@ -294,25 +297,21 @@ class _Geometry(NamedTuple):
 # d=128 one run evicts: 800 trials at d=300 miss 948 times at this bound, 550 unbounded.
 @lru_cache(maxsize=256)
 def _geometry(config: OpticalConfig) -> _Geometry:
-    layout = config.roi_layout
-    widths = np.array([w for _, _, w, _ in layout])
-    starts = np.concatenate([[0], np.cumsum(widths)[:-1]])
-    cols = np.concatenate([np.arange(x, x + w) for x, _, w, _ in layout])
+    x, _, widths, heights = np.array(config.roi_layout, order="F").T  # each field contiguous
+    starts = np.cumsum(widths) - widths
+    cols = np.arange(widths.sum()) + np.repeat(x - starts, widths)
 
-    centers = np.array([x + w / 2.0 for x, _, w, _ in layout])
-    profile = np.interp(np.arange(config.image_dims[1], dtype=float), centers, config.ref_envelope)
+    profile = np.interp(np.arange(config.image_dims[1]), x + widths / 2.0, config.ref_envelope)
     # Inside each ROI the reference amplitude is exactly the per-slit value;
     # the interpolated profile between slits is cosmetic only.
     profile[cols] = np.repeat(config.ref_envelope, widths)
-    _, band_y, _, band_height = layout[0]
+    _, band_y, _, band_height = config.roi_layout[0]
     ref_power = band_height * float(np.sum(profile**2))
 
-    band = replace(
-        config,
-        image_dims=(band_height, int(widths.sum())),
-        roi_layout=tuple((int(s), 0, int(w), band_height) for s, w in zip(starts, widths)),
-        envelope_kind="custom",
-    )
+    packed = np.column_stack([starts, 0 * starts, widths, heights])  # side by side on row 0
+    band = object.__new__(OpticalConfig)  # no __post_init__: packed from a checked config
+    vars(band).update(vars(config), image_dims=(band_height, int(widths.sum())),
+                      roi_layout=tuple(map(tuple, packed.tolist())), envelope_kind="custom")
     rows = slice(band_y, band_y + band_height)
     return _Geometry(_frozen(cols), rows, _frozen(starts), _frozen(widths),
                      _frozen(widths * band_height), _frozen(profile), ref_power, band)
@@ -326,8 +325,7 @@ def _dc_total(amps: np.ndarray, config: OpticalConfig) -> float:
     |obj| unchanged.
     """
     geo = _geometry(config)
-    height = config.image_dims[0]
-    return height * float(np.dot(geo.widths, np.abs(amps) ** 2)) + geo.ref_power
+    return config.image_dims[0] * float(np.dot(geo.widths, np.abs(amps) ** 2)) + geo.ref_power
 
 
 def _render(psi, config, noise, seed, steps, roi_band, pick=None):

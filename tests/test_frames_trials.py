@@ -200,3 +200,21 @@ def test_second_adaptive_frames_batch_at_d64_reuses_every_geometry():
     misses = _geometry.cache_info().misses
     run_batch(spec)
     assert _geometry.cache_info().misses == misses
+
+
+def test_an_adaptive_frames_batch_checks_one_config_per_reference_slit(monkeypatch):
+    # with_reference checks the config of each reference slit met; the band configs
+    # that _geometry packs from it, and the band's own band, are not checked again.
+    spec = ExperimentSpec(dim=64, source=StateSource("haar", 40), root_seed=3,
+                          pipeline="frames", reference_mode="adaptive",
+                          noise=NoiseModel.bench_defaults(1e7))
+    checked = []
+    check = OpticalConfig.__post_init__
+    monkeypatch.setattr(OpticalConfig, "__post_init__",
+                        lambda self: checked.append(self.ref_index) or check(self))
+    _geometry.cache_clear()
+    stats = run_batch(spec)
+    assert stats.n_failed == 0
+    met = {t.reference_used for t in stats.trials}
+    assert len(met) > 10
+    assert sorted(checked) == sorted(met)

@@ -55,3 +55,25 @@ def test_an_outcome_sweep_allocates_no_camera_image_under_a_memory_cap(tmp_path)
                           preexec_fn=_capped, timeout=60)
     assert done.returncode == EXIT_OK, done.stderr
     assert json.loads((tmp_path / "summary.json").read_text())["n_trials"] == 2
+
+
+@pytest.mark.parametrize("width", [HUGE, str(10**30)], ids=["1e12", "1e30"])
+def test_a_frames_optical_block_too_large_to_allocate_exits_2_under_a_memory_cap(tmp_path,
+                                                                                   width):
+    """A frames sweep whose optical config's image cannot be allocated is refused
+    when its spec is built, before any file is written."""
+    config = tmp_path / "optical.json"
+    config.write_text(json.dumps({"pipeline": "frames", "reference_mode": "fixed", "optical": {
+        "n_slits": 2, "ref_index": 0, "image_dims": [16, int(width)],
+        "roi_layout": [[0, 0, 10, 16], [30, 0, 10, 16]], "envelope_kind": "sinc"}}))
+    out = tmp_path / "out"
+    src = str(Path(psitomo.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "psitomo.cli", "sweep", "--config", str(config),
+                           "--seed", "1", "--out-dir", str(out)], env=env, capture_output=True,
+                          text=True, preexec_fn=_capped, timeout=60)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr == (f"error: {config}: the optical config is too large: its 16x{width} "
+                           "image cannot be allocated\n")
+    assert not any(out.iterdir())

@@ -629,3 +629,26 @@ def test_save_and_load_frames_round_trip(tmp_path):
     a = frames[1].pixels.ravel()
     b = loaded[1].pixels.ravel()
     assert np.corrcoef(a, b)[0, 1] > 0.9999
+
+
+@pytest.mark.parametrize("extra", [False, True])
+@pytest.mark.parametrize("envelope", ["sinc", "flat", "custom"])
+@pytest.mark.parametrize("dim", [2, 5, 14, 64])
+def test_derived_band_is_the_checked_config_of_its_fields(dim, envelope, extra):
+    # The band config is packed from a checked config without a check of its own,
+    # so it must equal, field for field and type for type, what the check builds.
+    base = OpticalConfig.for_dim(dim, extra_reference=extra,
+                                 envelope="sinc" if envelope == "custom" else envelope)
+    if envelope == "custom":
+        base = replace(base, envelope_kind="custom",
+                       ref_envelope=tuple(np.linspace(1.0, 0.25, base.n_slits).tolist()))
+    for r in sorted({0, 1, base.n_slits // 2, base.n_slits - 1}):
+        band = _geometry(base.with_reference(r)).band
+        checked = OpticalConfig(**{name: getattr(band, name) for name in vars(band)})
+        assert band == checked
+        assert repr(band) == repr(checked) and hash(band) == hash(checked)
+        assert band.ref_index == r
+        assert band.image_dims[1] == sum(w for _, _, w, _ in band.roi_layout)
+        assert _geometry(band).band == band
+        if envelope == "flat":
+            assert band.ref_envelope == (1.0,) * band.n_slits

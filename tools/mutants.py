@@ -87,7 +87,7 @@ MUTANTS = [
     ("figures.py",
      '    body += [_text(left - 8, top + 4, 11, peak, "end"),\n'
      '             _text(left - 8, top + plot_h + 4, 11, 0, "end")]\n', ""),
-    ("imaging.py", "            np.empty((DEFAULT_IMAGE_HEIGHT, width))\n", "            pass\n"),
+    ("imaging.py", "        np.empty(dims)\n", "        pass\n"),
     ("states.py",
      '        raise ValueError(f"qudit dimension {dim} is too large: {rows}x2x{dim} Haar "\n'
      '                         "normals cannot be allocated") from None\n', "        pass\n"),
@@ -143,8 +143,21 @@ MUTANTS = [
     ("harness.py", "            if recon.dim > psi.dim:", "            if False:"),
     ("harness.py", "            if strict:\n", "            if False:\n"),
     ("reconstruct.py", "    gamma.insert(r, 1.0)\n", "    gamma.insert(r, 0.0)\n"),
-    ("imaging.py", "    return height * float(", "    return float("),
+    ("imaging.py", "    return config.image_dims[0] * float(", "    return float("),
     ("reconstruct.py", "level = 0.5 * (roi1 + roi3)", "level = 0.5 * (roi1 + roi2)"),
+    # The layout arrays: the packed band's offsets, the slit offsets within it, the
+    # pitch's end ROIs, for_dim's ROI positions and the flat envelope's width,
+    ("imaging.py", "np.column_stack([starts, 0 * starts,", "np.column_stack([x, 0 * starts,"),
+    ("imaging.py", "np.column_stack([starts, 0 * starts,", "np.column_stack([starts, starts,"),
+    ("imaging.py", "    starts = np.cumsum(widths) - widths\n",
+     "    starts = np.arange(len(widths)) * widths\n"),
+    ("imaging.py", "self.roi_layout[0], self.roi_layout[-1]",
+     "self.roi_layout[0], self.roi_layout[1]"),
+    ("imaging.py", "np.arange(DISPLAY_SLIT_PITCH + inset,", "np.arange(inset,"),
+    ("imaging.py", "    width = np.inf if", "    width = 1e9 if"),
+    # and the probe of a frames spec's image.
+    ("harness.py", "            _allocatable(self.optics.image_dims,",
+     "            (lambda *_: None)(self.optics.image_dims,"),
 ]
 
 # (file, old text, new text, why no test can kill it).  Deleting a module's
