@@ -1,12 +1,12 @@
 """Monte Carlo driver: batches of simulated tomography runs plus calibration.
 
-Every batch runs in one thread, OUTCOME_CHUNK trials at a time, through one
-loop for both pipelines; ``workers`` is accepted for compatibility only.
-Chunk c draws its Haar states and outcome draws as arrays, rows in trial
-order, one stream per kind keyed on chunk_seed(root_seed, c); so row i depends
-only on (root_seed, i), and an outcome row's seed is its chunk's.  Frames
-trial i renders once on trial_seed(root_seed, i), picking an adaptive
-reference inside that render.
+Every batch runs in one thread, through one loop for both pipelines;
+``workers`` is accepted for compatibility only.  OUTCOME_CHUNK-trial chunks
+serve draws only: chunk c draws its Haar states, and in an outcome batch its
+outcome draws, as arrays in trial order, one stream per kind keyed on
+chunk_seed(root_seed, c); so row i depends only on (root_seed, i), and an
+outcome row's seed is its chunk's.  A frames batch is one run, which builds each
+reference slit's config once; trial i renders once, on trial_seed(root_seed, i).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ REFERENCE_MODES = ("fixed", "adaptive", "extra_slit")
 
 HISTOGRAM_BINS = 20
 
-#: Trials that run_batch prepares together: per chunk, one reference choice
-#: and one two-beam table computation for outcomes, one optical config for frames.
+#: Trials whose draws share one chunk_seed stream per kind: Haar states, and an
+#: outcome batch's draws, prepared together.  A frames batch is not cut into chunks.
 OUTCOME_CHUNK = 256
 
 _CALIBRATION_TAG = 0x43414C
@@ -196,8 +196,10 @@ def generate_states(spec: ExperimentSpec) -> list[PureState]:
 
     Haar chunk c is one (rows, 2, dim) array of normals, real then imaginary
     parts, from the Haar stream of chunk_seed(root_seed, c); each row is
-    normalized, so state i depends only on (root_seed, i)."""
+    normalized, so state i depends only on (root_seed, i).  A count whose fidelities
+    run_batch could not hold is refused before any state is drawn."""
     src = spec.source
+    _allocatable((src.n,), "the trial count is too large", "fidelities")
     if src.kind == "explicit":
         if any(s.dim != spec.dim for s in src.states):
             raise ValueError("explicit state dimension differs from spec.dim")
@@ -304,14 +306,16 @@ def run_trial(psi: PureState, spec: ExperimentSpec, seed: int, index: int = 0) -
 def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
     """Run every state of the source through the pipeline and aggregate.
 
-    Trials run in one thread, OUTCOME_CHUNK at a time, ordered by trial
-    index.  ``workers`` (at least 1) is accepted for compatibility and changes nothing.
+    Trials run in one thread, ordered by trial index: an outcome batch
+    OUTCOME_CHUNK at a time, for its chunk draws, and a frames batch as one run.
+    ``workers`` (at least 1) is accepted for compatibility and changes nothing.
     """
     _check_int(workers, "workers must be a positive integer", 1)
     states = generate_states(spec)
     trials = []
-    for c, start in enumerate(range(0, len(states), OUTCOME_CHUNK)):
-        indices = range(start, min(start + OUTCOME_CHUNK, len(states)))
+    size = OUTCOME_CHUNK if spec.pipeline == "outcomes" else len(states)
+    for c, start in enumerate(range(0, len(states), size)):
+        indices = range(start, min(start + size, len(states)))
         seeds = ([trial_seed(spec.root_seed, i) for i in indices] if spec.pipeline == "frames"
                  else [chunk_seed(spec.root_seed, c)] * len(indices))
         trials += _trials(states[start : indices.stop], spec, seeds, indices)
@@ -326,9 +330,7 @@ def run_batch(spec: ExperimentSpec, workers: int = 1) -> SummaryStats:
         std_fidelity=float(fids.std()),
         hist_edges=edges,
         hist_counts=tuple(int(c) for c in counts),
-        purity_false_negatives=sum(
-            1 for t in trials if t.error is None and not t.pure
-        ),
+        purity_false_negatives=sum(1 for t in trials if t.error is None and not t.pure),
         failures_by_kind=dict(sorted(Counter(t.error for t in trials if t.error).items())),
         trials=tuple(trials),
     )

@@ -200,12 +200,14 @@ def _slits(dim: int, extra_reference: bool) -> tuple[int, int]:
     return (dim + 1, dim) if extra_reference else (dim, 0)
 
 
-def _allocatable(dims, what: str) -> None:
-    """Refuse, as a configuration error naming ``what``, an image that cannot be allocated."""
+def _allocatable(dims, what: str, array: str = "image") -> None:
+    """Refuse, as a configuration error naming ``what``, a float64 ``array`` that cannot be
+    allocated."""
     try:
         np.empty(dims)
     except (MemoryError, ValueError):
-        raise ValueError(f"{what}: its {dims[0]}x{dims[1]} image cannot be allocated") from None
+        shape = "x".join(map(str, dims))
+        raise ValueError(f"{what}: its {shape} {array} cannot be allocated") from None
 
 
 def _envelope_values(config: OpticalConfig) -> tuple[float, ...]:

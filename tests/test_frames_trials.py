@@ -37,7 +37,7 @@ from psitomo import (
     trial_seed,
 )
 from psitomo.errors import AllZero, TomographyError
-from psitomo.harness import _frames_run, generate_states
+from psitomo.harness import OUTCOME_CHUNK, _frames_run, generate_states
 from psitomo.imaging import _geometry
 from psitomo.imaging import DISPLAY_PHASE_SD, _render, _steps
 
@@ -205,16 +205,22 @@ def test_second_adaptive_frames_batch_at_d64_reuses_every_geometry():
 def test_an_adaptive_frames_batch_checks_one_config_per_reference_slit(monkeypatch):
     # with_reference checks the config of each reference slit met; the band configs
     # that _geometry packs from it, and the band's own band, are not checked again.
-    spec = ExperimentSpec(dim=64, source=StateSource("haar", 40), root_seed=3,
-                          pipeline="frames", reference_mode="adaptive",
-                          noise=NoiseModel.bench_defaults(1e7))
+    # A batch of more than OUTCOME_CHUNK trials is one run too: at d = 8, 600 trials
+    # meet every slit, and each slit's config is checked once, not once per chunk.
+    specs = [ExperimentSpec(dim=dim, source=StateSource("haar", n), root_seed=3,
+                            pipeline="frames", reference_mode="adaptive",
+                            noise=NoiseModel.bench_defaults(1e7))
+             for dim, n in ((64, 40), (8, 600))]
+    assert specs[1].source.n > 2 * OUTCOME_CHUNK
     checked = []
     check = OpticalConfig.__post_init__
     monkeypatch.setattr(OpticalConfig, "__post_init__",
                         lambda self: checked.append(self.ref_index) or check(self))
-    _geometry.cache_clear()
-    stats = run_batch(spec)
-    assert stats.n_failed == 0
-    met = {t.reference_used for t in stats.trials}
-    assert len(met) > 10
-    assert sorted(checked) == sorted(met)
+    for spec, least in zip(specs, (11, 8)):
+        checked.clear()
+        _geometry.cache_clear()
+        stats = run_batch(spec)
+        assert stats.n_failed == 0
+        met = {t.reference_used for t in stats.trials}
+        assert len(met) >= least
+        assert sorted(checked) == sorted(met)

@@ -1,4 +1,4 @@
-"""A dimension too large to allocate is refused as a configuration error.
+"""A dimension or trial count too large to allocate is refused as a configuration error.
 
 Each command runs in a subprocess whose address space is capped at 2 GiB, so
 a refusal that came too late would end in a MemoryError traceback there
@@ -77,3 +77,21 @@ def test_a_frames_optical_block_too_large_to_allocate_exits_2_under_a_memory_cap
     assert done.stderr == (f"error: {config}: the optical config is too large: its 16x{width} "
                            "image cannot be allocated\n")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("source", ["bloch", "haar"])
+def test_a_trial_count_too_large_to_allocate_exits_2_under_a_memory_cap(tmp_path, source):
+    """run_batch could not hold the fidelities of 10**30 trials, so the count is
+    refused in one line that names it, before any state is drawn or file written."""
+    count = 10**30
+    src = str(Path(psitomo.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "psitomo.cli", "sweep", "--dim", "2",
+                           "--source", source, "--trials", str(count), "--seed", "1",
+                           "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True,
+                          preexec_fn=_capped, timeout=30)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr == (f"error: the trial count is too large: its {count} fidelities "
+                           "cannot be allocated\n")
+    assert not any(tmp_path.iterdir())

@@ -158,6 +158,10 @@ MUTANTS = [
     # and the probe of a frames spec's image.
     ("harness.py", "            _allocatable(self.optics.image_dims,",
      "            (lambda *_: None)(self.optics.image_dims,"),
+    # A frames batch is one run, and a trial count is probed before any state is drawn.
+    ("harness.py", '    size = OUTCOME_CHUNK if spec.pipeline == "outcomes" else len(states)\n',
+     "    size = OUTCOME_CHUNK\n"),
+    ("harness.py", '    _allocatable((src.n,), "the trial count is too large", "fidelities")\n', ""),
 ]
 
 # (file, old text, new text, why no test can kill it).  Deleting a module's
