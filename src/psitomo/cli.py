@@ -118,10 +118,12 @@ def cmd_reconstruct(args) -> int:
     out = _out_dir(args)
     if bool(args.frames_dir) == bool(args.outcomes):
         raise ValueError("pass exactly one of --frames-dir or --outcomes")
-    if args.frames_dir:
-        report = reconstruct_from_frames(load_frames(args.frames_dir))
-    else:
-        report = reconstruct_from_outcomes(read_json(args.outcomes, ProjectorOutcomes.from_dict))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused by name, not warned about
+        if args.frames_dir:
+            report = reconstruct_from_frames(load_frames(args.frames_dir))
+        else:
+            report = reconstruct_from_outcomes(
+                read_json(args.outcomes, ProjectorOutcomes.from_dict))
 
     report_path = out / args.report
     payload = report.to_dict()

@@ -98,6 +98,11 @@ class ExperimentSpec:
     tau_purity: float = TAU_PURITY
 
     def __post_init__(self) -> None:
+        for name, kinds in (("source", (StateSource,)), ("noise", (NoiseModel,)),
+                            ("optical", (OpticalConfig, type(None)))):
+            if not isinstance(value := getattr(self, name), kinds):
+                raise ValueError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+                                 f"got {type(value).__name__}")
         _check_int(self.dim, "qudit dimension must be at least 2", 2)
         _check_int(self.root_seed, "root_seed must be a non-negative integer")
         if not isinstance(self.calibration_frame, (bool, np.bool_)):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigMismatch
-from .projectors import _counts, _step_phases
+from .projectors import _counts, _step_phases, _two_beam
 from .states import (_SEED, PureState, _as_array, _check_finite, _check_int, _check_real,
                      _frozen, _json_int)
 
@@ -93,7 +93,7 @@ class OpticalConfig:
 
     n_slits: int
     ref_index: int = 0
-    image_dims: tuple[int, int] = (0, 0)  # (height, width); filled by for_dim
+    image_dims: tuple[int, int] = (0, 0)  # (height, width); must be given: (0, 0) is refused
     roi_layout: tuple[tuple[int, int, int, int], ...] = ()
     ref_envelope: tuple[float, ...] = ()
     envelope_kind: str = "sinc"
@@ -371,12 +371,12 @@ def _render(psi, config, noise, seed, steps, roi_band, pick=None):
         geo, scale = _geometry(config), noise.photons_per_frame / _dc_total(amps, config)
     ref = np.broadcast_to(geo.profile[geo.cols], shape)
 
-    # The stepped reference is delayed: a positive piezo step multiplies its
-    # field by e^{-i theta} at step phase theta, which makes the recovered
-    # fringe phase equal arg(c_k) rather than its negative.
+    # The stepped reference is delayed: a positive piezo step multiplies its field by
+    # e^{-i theta} at step phase theta, so |obj + ref e^{-i theta}|^2 has the cross term
+    # Re{2 obj ref e^{+i theta}}: the recovered fringe phase is arg(c_k), not its negative.
+    fringes = _two_beam(level + ref**2, 2.0 * obj * ref, phases) if 1 in steps else None
     expected = np.stack([level if step == 0 else ref**2 if step == CALIBRATION_STEP
-                         else np.abs(obj + ref * np.exp(-1j * phases[step - 1])) ** 2
-                         for step in steps])
+                         else fringes[..., step - 1] for step in steps])
     counts = _counts(shot_seq, expected, scale, noise.dark_rate)
     frames = [Interferogram(step, pixels, geo.band) for step, pixels in zip(steps, counts)]
     if roi_band:

@@ -154,24 +154,27 @@ def projector_state(spec: ProjectorSpec, slit: int, step: int) -> PureState:
     return PureState(amps)
 
 
+def _two_beam(base, coherence, phases) -> np.ndarray:
+    """The two-beam law of both pipelines: base + Re{coherence e^{i theta}}, step phases
+    theta on a new last axis; the ~1e-17 negatives of a rounded dark fringe are clipped."""
+    # One step at a time: with the steps as the last axis, every inner loop would be 3 long.
+    rot = np.moveaxis(np.exp(1j * phases), -1, 0)
+    return np.clip(np.stack([base + np.real(coherence * r) for r in rot], axis=-1), 0.0, None)
+
+
 def _two_beam_table(populations, coherence, ref_index, phases) -> np.ndarray:
     """(p_r + p_k)/2 + Re{coh_k e^{i theta}} for every slit k != r and phase theta.
 
     ``coherence`` is the reference row of the state (rho_rk, or c_r conj(c_k)
     for a pure state).  Rows follow ascending slit order skipping
-    ``ref_index``.  Born probabilities live in [0, 1], so the ~1e-17
-    negatives that rounding makes are clipped.  Batched: (n, d) populations
-    and coherences, n references, (n, 3) or (3,) phases give (n, d - 1, 3).
+    ``ref_index``.  Any leading batch axes are kept: (..., d) populations and
+    coherences, (...) references and (..., 3) or (3,) phases give (..., d - 1, 3).
     """
-    pops = np.atleast_2d(populations)
-    n, d = pops.shape
-    ref = np.broadcast_to(ref_index, (n,))
-    others = np.arange(d) != ref[:, None]
-    base = 0.5 * (pops[np.arange(n), ref][:, None] + pops[others].reshape(n, d - 1))
-    coh = np.atleast_2d(coherence)[others].reshape(n, d - 1, 1)
-    rot = np.exp(1j * np.asarray(phases, dtype=float)).reshape(-1, 1, 3)
-    table = np.clip(base[:, :, None] + np.real(coh * rot), 0.0, None)
-    return table[0] if np.ndim(populations) == 1 else table
+    ref = np.asarray(ref_index)[..., None]
+    others = np.arange(np.shape(populations)[-1]) != ref
+    rows = others.shape[:-1] + (-1,)
+    base = 0.5 * (np.take_along_axis(populations, ref, -1) + populations[others].reshape(rows))
+    return _two_beam(base, coherence[others].reshape(rows), np.asarray(phases)[..., None, :])
 
 
 def interference_probs(psi: PureState, ref_index: int, phases) -> np.ndarray:

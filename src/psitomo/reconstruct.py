@@ -300,7 +300,10 @@ def _report(amps, pops, gamma, ref_level, r: int, tau, plan: str) -> Reconstruct
     The canonical phase (pivot floor scaled to the norm) comes before the one
     normalize, so the state is built once.
     """
-    state = normalize(_canonical_phase(amps, PHASE_PIVOT * _norm(amps)))
+    norm = _norm(amps)  # inf, after numpy's overflow warning, for values far too large
+    if not math.isfinite(norm):
+        raise ValueError("measured values too large: the reconstructed norm overflows")
+    state = normalize(_canonical_phase(amps, PHASE_PIVOT * norm))
     verdict = _purity_check(pops, gamma, ref_level, r, tau)
     return ReconstructionReport(
         state=state,

@@ -136,6 +136,20 @@ def test_spec_refuses_a_calibration_frame_flag_that_is_not_a_bool(flag):
     assert spec_of(pipeline="frames", calibration_frame=np.bool_(True)).calibration_frame
 
 
+@pytest.mark.parametrize("name, value, kind", [
+    ("source", "haar", "StateSource"),
+    ("source", None, "StateSource"),
+    ("noise", None, "NoiseModel"),
+    ("noise", {"photons_per_frame": 1e3}, "NoiseModel"),
+    ("optical", "x", "OpticalConfig or NoneType"),
+    ("optical", {"n_slits": 2}, "OpticalConfig or NoneType"),
+])
+def test_spec_refuses_a_mistyped_composite_field(name, value, kind):
+    """Refused when the spec is made, not by an AttributeError in it or in run_batch."""
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {type(value).__name__}$"):
+        ExperimentSpec(**{"dim": 3, "source": StateSource.haar(8), "root_seed": 7, name: value})
+
+
 # ------------------------------------------------------------ single trials
 
 

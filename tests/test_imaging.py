@@ -13,6 +13,7 @@ from psitomo import (
     Interferogram,
     NoiseModel,
     OpticalConfig,
+    STEP_PHASES,
     haar_random,
     normalize,
     read_pgm,
@@ -294,6 +295,19 @@ def test_phase_inhomogeneity_leaves_populations_untouched():
         psi, cfg, NoiseModel(phase_inhomogeneity_sd=DISPLAY_PHASE_SD), seed=5
     )[0]
     assert np.allclose(clean.pixels, noisy.pixels, atol=1e-12)
+
+
+def test_a_band_pixel_on_a_dark_fringe_renders_dark():
+    """Slit 1 meets a reference of its own magnitude in antiphase at step 3: the
+    two-beam sum rounds to -1.1e-16, a negative Poisson mean unless clipped."""
+    theta = STEP_PHASES[2]
+    psi = normalize([1.0, -np.exp(-1j * theta), 1.0])
+    c1 = psi.amps[1]
+    ref = float(np.abs(c1))
+    assert (np.abs(c1) ** 2 + ref**2) + np.real(2.0 * c1 * ref * np.exp(1j * theta)) < 0.0
+    cfg = replace(OpticalConfig.for_dim(3), envelope_kind="custom", ref_envelope=(1.0, ref, 1.0))
+    for noise in (NoiseModel(), NoiseModel(photons_per_frame=1e3)):
+        assert np.all(render_frames(psi, cfg, noise, seed=4, roi_band=True)[3].roi(1) == 0.0)
 
 
 def test_render_is_seed_deterministic_with_photon_noise():

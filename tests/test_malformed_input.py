@@ -2,22 +2,34 @@
 
 One table of junk values serves every input.  The property: ``cli.main``
 returns 0, 2, 3 or 4, nothing escapes it, and a report written with exit 0
-holds only finite numbers.  The input fuzzed here is an acquisition
-directory: a d = 3 set with its calibration frame in which one sidecar field
-(or one entry of its ROI or image size) is set to junk or deleted, one PGM
-byte of a header, of an ROI or of anywhere is changed, or one PGM is cut short.
+holds only finite numbers.  Three inputs are fuzzed:
+
+* an acquisition directory: a d = 3 set with its calibration frame in which
+  one sidecar field (or one entry of its ROI or image size) is set to junk or
+  deleted, one PGM byte of a header, of an ROI or of anywhere is changed, or
+  one PGM is cut short;
+* the outcome JSON of ``reconstruct --outcomes``, counts or probabilities, with
+  one field, row or entry (or the whole object) set to junk or deleted;
+* a ``sweep --config`` file, likewise, down to the entries of its optical
+  layout; ``run_batch`` is stubbed, so the sweep stops once its spec is made.
 """
 
+import copy
 import json
 import math
 import shutil
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psitomo import (ExperimentSpec, NoiseModel, OpticalConfig, StateSource, exact_outcomes,
+                     haar_random, run_batch, sample_counts)
+from psitomo import cli
 from psitomo.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_WEAK_REFERENCE, main
 
 JUNK = [None, True, False, 0, -1, -(10**30), 1.5, -1e308, math.nan, math.inf, -math.inf,
@@ -44,20 +56,28 @@ def acquisition(tmp_path_factory):
     return where, offsets
 
 
-def _sidecar_junk(where: Path, step: int, path: tuple, value) -> None:
-    """Set the sidecar entry at ``path`` (a field, then list indices) to ``value``,
-    or delete it."""
-    sidecar = where / f"frame_{step}.json"
-    meta = json.loads(sidecar.read_text())
+def _junked(payload, path: tuple, value):
+    """A copy of ``payload`` whose entry at ``path`` (a field, then fields or list indices;
+    empty for the whole payload) is ``value``, or is deleted."""
+    if not path:
+        return None if value is DELETED else value
+    payload = copy.deepcopy(payload)
     *parents, last = path
-    holder = meta
+    holder = payload
     for key in parents:
         holder = holder[key]
     if value is DELETED:
         del holder[last]
     else:
         holder[last] = value
-    sidecar.write_text(json.dumps(meta))
+    return payload
+
+
+def _sidecar_junk(where: Path, step: int, path: tuple, value) -> None:
+    """Set the sidecar entry at ``path`` (a field, then list indices) to ``value``,
+    or delete it."""
+    sidecar = where / f"frame_{step}.json"
+    sidecar.write_text(json.dumps(_junked(json.loads(sidecar.read_text()), path, value)))
 
 
 _SIDECAR_PATHS = st.one_of(
@@ -112,3 +132,75 @@ def test_a_malformed_acquisition_directory_exits_with_a_code(acquisition, change
             report = json.loads((out / "report.json").read_text(),
                                 parse_constant=lambda name: math.nan)
             assert _finite(report), report
+
+
+def _exit_code_and_finite_report(argv, report):
+    """Run ``argv`` in process; on exit 0, check that the JSON ``report`` it wrote holds
+    only finite numbers."""
+    code = main(argv)
+    assert code in EXIT_CODES
+    if code == EXIT_OK:
+        payload = json.loads(report.read_text(), parse_constant=lambda name: math.nan)
+        assert _finite(payload), payload
+
+
+_COUNTS = sample_counts(exact_outcomes(haar_random(3, 1)), NoiseModel(1e4), 2).to_dict()
+OUTCOME_PAYLOADS = [_COUNTS, exact_outcomes(haar_random(3, 1)).to_dict()]
+_OUTCOME_PATHS = st.one_of(
+    st.just(()),
+    st.tuples(st.sampled_from(sorted(_COUNTS))),
+    st.tuples(st.just("populations"), st.integers(0, 2)),
+    st.tuples(st.just("interference"), st.integers(0, 1)),
+    st.tuples(st.just("interference"), st.integers(0, 1), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=150)
+@given(payload=st.sampled_from(OUTCOME_PAYLOADS), path=_OUTCOME_PATHS,
+       value=st.sampled_from(JUNK + [DELETED]))
+def test_a_malformed_outcome_file_exits_with_a_code(payload, path, value):
+    with tempfile.TemporaryDirectory(prefix="psitomo-fuzz-") as tmp:
+        outcomes = Path(tmp) / "outcomes.json"
+        outcomes.write_text(json.dumps(_junked(payload, path, value)))
+        out = Path(tmp) / "out"
+        _exit_code_and_finite_report(
+            ["reconstruct", "--outcomes", str(outcomes), "--out-dir", str(out)],
+            out / "report.json")
+
+
+SWEEP_CONFIG = json.loads(json.dumps({
+    "dim": 3, "trials": 4, "source": "haar", "pipeline": "frames", "reference_mode": "fixed",
+    "noise": asdict(NoiseModel.bench_defaults(1e3)), "optical": asdict(OpticalConfig.for_dim(3)),
+}))
+_SWEEP_PATHS = st.one_of(
+    st.just(()),
+    st.tuples(st.sampled_from(sorted(SWEEP_CONFIG) + ["unknown"])),
+    st.tuples(st.just("noise"), st.sampled_from(sorted(SWEEP_CONFIG["noise"]) + ["unknown"])),
+    st.tuples(st.just("optical"), st.sampled_from(sorted(SWEEP_CONFIG["optical"]))),
+    st.tuples(st.just("optical"), st.just("image_dims"), st.integers(0, 1)),
+    st.tuples(st.just("optical"), st.just("roi_layout"), st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.just("optical"), st.just("ref_envelope"), st.integers(0, 2)),
+)
+
+
+@pytest.fixture(scope="module")
+def canned_stats():
+    """A real batch's statistics, which the stubbed run_batch returns for any valid spec."""
+    return run_batch(ExperimentSpec(2, StateSource.haar(2), 0))
+
+
+@settings(max_examples=150)
+@given(path=_SWEEP_PATHS, value=st.sampled_from(JUNK + [DELETED]))
+def test_a_malformed_sweep_config_exits_with_a_code(canned_stats, path, value):
+    def validated(spec, workers=1):
+        assert isinstance(spec, ExperimentSpec)
+        return canned_stats
+
+    with tempfile.TemporaryDirectory(prefix="psitomo-fuzz-") as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(_junked(SWEEP_CONFIG, path, value)))
+        out = Path(tmp) / "out"
+        with mock.patch.object(cli, "run_batch", validated):
+            _exit_code_and_finite_report(
+                ["sweep", "--config", str(config), "--seed", "1", "--out-dir", str(out)],
+                out / "summary.json")

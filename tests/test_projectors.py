@@ -131,6 +131,19 @@ def test_interference_probs_against_outcomes():
     assert np.allclose(probs, out.interference, atol=1e-14)
 
 
+def test_a_dark_fringe_is_clipped_to_zero():
+    """Equal magnitudes in antiphase at step 3: the two-beam law's terms cancel, and
+    their rounded sum is -1.1e-16.  Unclipped, the outcome set would refuse that value
+    and the Poisson draw its negative mean."""
+    theta = STEP_PHASES[2]
+    psi = normalize([1.0, -np.exp(1j * theta)])
+    (p0, p1), (c0, c1) = np.abs(psi.amps) ** 2, psi.amps
+    assert 0.5 * (p0 + p1) + np.real(c0 * np.conj(c1) * np.exp(1j * theta)) < 0.0
+    out = exact_outcomes(psi)
+    assert out.interference[0, 2] == 0.0
+    assert sample_counts(out, NoiseModel(1e3), seed=1).interference[0, 2] == 0.0
+
+
 def test_outcomes_validation():
     pops = np.full(3, 1 / 3)
     good = np.full((2, 3), 0.1)

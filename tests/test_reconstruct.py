@@ -352,6 +352,17 @@ def test_a_reference_at_exactly_the_weak_fraction_anchors():
     assert fidelity(psi, report.state) >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("value", [1e200, 1e308])
+def test_an_outcome_too_large_to_normalize_is_refused(value):
+    """Amplitudes of norm past the float range (numpy warns of the overflow): refused by
+    name as an input error, not by a failed unit-norm check on an all-zero state."""
+    counts = sample_counts(exact_outcomes(haar_random(3, 1)), NoiseModel(1e4), 2)
+    table = counts.interference.copy()
+    table[0, 0] = value
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="values too large"):
+        reconstruct_from_outcomes(ProjectorOutcomes(3, 0, counts.populations, table, "count"))
+
+
 def test_mixed_state_fails_purity_but_pure_passes():
     psi = haar_random(5, seed=30)
     pure_report = reconstruct_from_outcomes(exact_outcomes_mixed(depolarized(psi, 1.0)))

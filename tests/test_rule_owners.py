@@ -6,8 +6,10 @@ tolerance and the angle fold live in the two private kernels ``_fringe`` and
 ``_direction``, which psi_phase, psi_visibility, circular_mean and
 reconstruct_from_frames call.  The adaptive reference, the first strongest
 population, is picked only by ``_strongest``, which choose_reference (for
-frames trials) and the outcome chunks call.  These tests read the syntax
-tree of reconstruct.py, or of every module of the package.
+frames trials) and the outcome chunks call.  The two-beam law of both forward
+models, outcome tables and camera fringes, lives in ``projectors._two_beam``.
+These tests read the syntax tree of reconstruct.py, or of every module of the
+package.
 """
 
 import ast
@@ -69,6 +71,24 @@ def test_the_reference_rule_has_one_owner():
         found |= {(info.name, getattr(top, "name", "<module>")) for top in tree.body
                   for node in ast.walk(top) if calls("argmax")(node)}
     assert found == {("reconstruct", "_strongest"), ("states", "_canonical_phase")}
+
+
+def package_nodes(matches):
+    """(module, top-level definition, node) for every matching node of the package."""
+    for info in pkgutil.iter_modules(psitomo.__path__):
+        tree = ast.parse(inspect.getsource(import_module(f"psitomo.{info.name}")))
+        yield from ((info.name, getattr(top, "name", "<module>"), node) for top in tree.body
+                    for node in ast.walk(top) if matches(node))
+
+
+def test_the_two_beam_law_has_one_owner():
+    """Outcome tables and camera frames reach the law only through the kernel, and
+    the renderer takes no modulus of summed beams."""
+    assert {(module, top) for module, top, _ in package_nodes(calls("_two_beam"))} \
+        == {("projectors", "_two_beam_table"), ("imaging", "_render")}
+    assert [ast.unparse(node) for module, top, node in package_nodes(calls("abs"))
+            if (module, top) == ("imaging", "_render")
+            and not isinstance(node.args[0], ast.Name)] == []
 
 
 @pytest.mark.parametrize("pipeline", ["outcomes", "frames"])

@@ -2,7 +2,9 @@
 
 A mutant is one (file, old text, new text) edit.  Each is applied alone to a
 fresh copy of the repository's working tree, and tier-1 runs in that copy
-with ``-x``.  The mutant is
+with ``-x``, the tests most likely to kill the mutant first: the test files
+that FIRST names for the mutated module (by default ``test_<module>.py``),
+then tier-1's other files in their usual order.  The mutant is
 killed when tier-1 fails and survives when it passes.  Tier-1 also runs in an
 unmutated copy; if it fails there, no kill means anything and the script exits 2.
 
@@ -32,6 +34,19 @@ SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
                                  ".bench_out", ".bench_build")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
+TEST_DIRS = ("tests", "benchmarks/tests")  # tier-1's testpaths, in collection order
+
+# The test files run first for a mutant of a module, where test_<module>.py alone
+# does not hold the tests that kill its listed mutants soonest.
+FIRST = {
+    "__init__.py": ["test_cli.py"],
+    "harness.py": ["test_harness.py", "test_cli.py", "test_figures.py", "test_outcome_chunks.py",
+                   "test_frames_trials.py", "test_huge_dimension.py"],
+    "imaging.py": ["test_imaging.py", "test_reconstruct.py", "test_huge_dimension.py"],
+    "pgmio.py": ["test_imaging.py", "test_cli.py", "test_acquisition_files.py"],
+    "reconstruct.py": ["test_reconstruct.py", "test_properties.py", "test_acquisition_files.py"],
+    "states.py": ["test_states.py", "test_huge_dimension.py"],
+}
 
 # Statement deletions that tier-1 once let through, each now covered by a test.
 MUTANTS = [
@@ -122,13 +137,13 @@ MUTANTS = [
     ("reconstruct.py", "TAU_PURITY = 0.02\n", "TAU_PURITY = 0.03\n"),
     ("harness.py", "HISTOGRAM_BINS = 20\n", "HISTOGRAM_BINS = 10\n"),
     ("harness.py", "min(float(fids.min()), 1.0 - 1e-9)", "min(float(fids.min()), 1.0 - 1e-6)"),
-    # the signs of the forward model and of both inversions,
+    # the signs of the two-beam law, of its frames cross term and of both inversions,
     ("projectors.py", "    np.pi / 2.0 * (step - 0.5)", "    -np.pi / 2.0 * (step - 0.5)"),
-    ("imaging.py", "ref * np.exp(-1j * phases[step - 1])", "ref * np.exp(1j * phases[step - 1])"),
     ("reconstruct.py", "scale, -(d3 * scale)))", "scale, d3 * scale))"),
     ("reconstruct.py", "np.exp(1j * (phases - phases[r]))", "np.exp(1j * (phases[r] - phases))"),
-    ("projectors.py", "base[:, :, None] + np.real(coh * rot)",
-     "base[:, :, None] - np.real(coh * rot)"),
+    ("projectors.py", "[base + np.real(coherence * r)", "[base - np.real(coherence * r)"),
+    ("imaging.py", "_two_beam(level + ref**2, 2.0 * obj * ref, phases)",
+     "_two_beam(level + ref**2, obj * ref, phases)"),
     ("reconstruct.py", "    return np.where(angle == -math.pi, math.pi, angle), length",
      "    return angle, length"),
     # the reference modes and the reference rule,
@@ -162,6 +177,8 @@ MUTANTS = [
     ("harness.py", '    size = OUTCOME_CHUNK if spec.pipeline == "outcomes" else len(states)\n',
      "    size = OUTCOME_CHUNK\n"),
     ("harness.py", '    _allocatable((src.n,), "the trial count is too large", "fidelities")\n', ""),
+    # The two-beam law's clip, which a dark fringe's rounded sum of -1e-16 needs.
+    ("projectors.py", "for r in rot], axis=-1), 0.0, None)", "for r in rot], axis=-1), -1.0, None)"),
 ]
 
 # (file, old text, new text, why no test can kill it).  Deleting a module's
@@ -193,6 +210,16 @@ def _edited(file: str, old: str, new: str) -> tuple[str, int]:
     return text.replace(old, new), text[: text.index(old)].count("\n") + 1
 
 
+def _test_files(module: str | None) -> list[str]:
+    """Tier-1's test files, those FIRST names for ``module`` (a file of src/psitomo) ahead
+    of the rest.  Files given by name run in the order given; pytest would merge a file
+    given ahead of its own directory into that directory's order."""
+    files = [str(path.relative_to(ROOT)) for where in TEST_DIRS
+             for path in sorted((ROOT / where).glob("test_*.py"))]
+    first = [f"tests/{name}" for name in FIRST.get(module, [f"test_{module}"])]
+    return [f for f in first if f in files] + [f for f in files if f not in first]
+
+
 def _tier1(mutant) -> tuple[bool, float]:
     """Whether tier-1 passes in a copy with ``mutant`` (None: no edit) applied, and
     the seconds it took."""
@@ -205,8 +232,8 @@ def _tier1(mutant) -> tuple[bool, float]:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(copy / "src"), os.environ.get("PYTHONPATH")) if p)}
         start = time.perf_counter()
-        done = subprocess.run(TIER1, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL)
+        done = subprocess.run(TIER1 + _test_files(mutant[0] if mutant else None), cwd=copy,
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         return done.returncode == 0, time.perf_counter() - start
 
 
